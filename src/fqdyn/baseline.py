@@ -12,16 +12,14 @@ and z-scores at sizes where enumeration is out of reach.
 
 from __future__ import annotations
 
-import math
-from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterator
+from typing import Callable, Iterator
 
-from .census import TheoryComparison, _frac_json, _merge_tallies, _split_blocks, BudgetError
+from .census import BudgetError, Tally, TheoryComparison, mean_stderr, run_blocks
 from .fgraph import FunctionalGraph, cycle_census
+from .reportio import frac_json
 from .seeding import per_index_rng
 from .theory import (
     quad_graph_stats,
@@ -39,16 +37,20 @@ def sample_random_map(n: int, seed: int) -> FunctionalGraph:
     """Uniform random self-map of [0, n); deterministic given seed."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    rng = per_index_rng(seed, 0)
+    return _random_map(n, per_index_rng(seed, 0))
+
+
+def _random_map(n: int, rng) -> FunctionalGraph:
     return FunctionalGraph(n, tuple(rng.randrange(n) for _ in range(n)))
 
 
-def _index_to_map(n: int, idx: int) -> tuple[int, ...]:
+def _map_at(n: int, idx: int) -> FunctionalGraph:
+    """Self-map number idx of the n^n, its values the base-n digits of idx."""
     out = []
     for _ in range(n):
         idx, v = divmod(idx, n)
         out.append(v)
-    return tuple(out)
+    return FunctionalGraph(n, tuple(out))
 
 
 def _multiset_assignments(t: int, m: int, total: int) -> Iterator[tuple[int, ...]]:
@@ -98,7 +100,10 @@ def sample_quadratic_graph(m: int, t: int, seed: int) -> FunctionalGraph:
     given seed."""
     if m < 1 or t < 1:
         raise ValueError("need m >= 1 and t >= 1")
-    rng = per_index_rng(seed, 0)
+    return _quadratic_graph(m, t, per_index_rng(seed, 0))
+
+
+def _quadratic_graph(m: int, t: int, rng) -> FunctionalGraph:
     size = m * t
     image = sorted(rng.sample(range(size), t))
     labels = [i for i in range(t) for _ in range(m)]
@@ -133,8 +138,8 @@ class BaselineReport:
             "mode": self.mode,
             "size": self.size,
             "graph_count": self.graph_count,
-            "avg_components": _frac_json(self.avg_components),
-            "avg_periodic": _frac_json(self.avg_periodic),
+            "avg_components": frac_json(self.avg_components),
+            "avg_periodic": frac_json(self.avg_periodic),
             "theory_comparison": [c.to_jsonable() for c in self.theory_comparison],
         }
         if self.kind == "quadratic":
@@ -150,68 +155,13 @@ class BaselineReport:
         return out
 
 
-def _graph_tally() -> dict:
-    return {
-        "map_count": 0,
-        "components": 0,
-        "periodic": 0,
-        "components_sq": 0,
-        "periodic_sq": 0,
-        "k_cycles": Counter(),
-        "k_cycles_sq": Counter(),
-    }
-
-
-def _tally_graph(tally: dict, g: FunctionalGraph) -> None:
-    stats = cycle_census(g)
-    tally["map_count"] += 1
-    tally["components"] += stats.component_count
-    tally["periodic"] += stats.periodic_count
-    tally["components_sq"] += stats.component_count**2
-    tally["periodic_sq"] += stats.periodic_count**2
-
-
-def _random_exhaustive_block(n: int, start: int, stop: int) -> dict:
-    tally = _graph_tally()
+def _graph_block(make: Callable, args: tuple, seed: int | None, start: int, stop: int) -> Tally:
+    """Tally the graphs make(*args, i) for the indices i in [start, stop),
+    or, with a seed, make(*args, rng) on each index's own random stream."""
+    tally = Tally()
     for i in range(start, stop):
-        _tally_graph(tally, FunctionalGraph(n, _index_to_map(n, i)))
+        tally.add(cycle_census(make(*args, i if seed is None else per_index_rng(seed, i))), 0)
     return tally
-
-
-def _random_sampled_block(n: int, seed: int, start: int, stop: int) -> dict:
-    tally = _graph_tally()
-    for i in range(start, stop):
-        rng = per_index_rng(seed, i)
-        _tally_graph(tally, FunctionalGraph(n, tuple(rng.randrange(n) for _ in range(n))))
-    return tally
-
-
-def _quadratic_sampled_block(m: int, t: int, seed: int, start: int, stop: int) -> dict:
-    tally = _graph_tally()
-    size = m * t
-    for i in range(start, stop):
-        rng = per_index_rng(seed, i)
-        image = sorted(rng.sample(range(size), t))
-        labels = [b for b in range(t) for _ in range(m)]
-        rng.shuffle(labels)
-        _tally_graph(tally, FunctionalGraph(size, tuple(image[lab] for lab in labels)))
-    return tally
-
-
-def _run_graph_blocks(fn, args: tuple, total: int, jobs: int) -> dict:
-    blocks = _split_blocks(total, jobs)
-    if len(blocks) <= 1:
-        return fn(*args, 0, total)
-    with ProcessPoolExecutor(max_workers=len(blocks)) as pool:
-        futures = [pool.submit(fn, *args, lo, hi) for lo, hi in blocks]
-        return _merge_tallies(f.result() for f in futures)
-
-
-def _stderr(total: int, total_sq: int, count: int) -> float | None:
-    if count < 2:
-        return None
-    var = (Fraction(total_sq) - Fraction(total * total, count)) / (count - 1)
-    return math.sqrt(float(var) / count)
 
 
 def exhaustive_random_stats(n: int, jobs: int = 1) -> BaselineReport:
@@ -225,9 +175,9 @@ def exhaustive_random_stats(n: int, jobs: int = 1) -> BaselineReport:
             f"({n}^{n} maps); use sampling instead"
         )
     total = n**n
-    tally = _run_graph_blocks(_random_exhaustive_block, (n,), total, jobs)
-    avg_c = Fraction(tally["components"], total)
-    avg_p = Fraction(tally["periodic"], total)
+    tally = run_blocks(_graph_block, (_map_at, (n,), None), total, jobs)
+    avg_c = Fraction(tally.components, total)
+    avg_p = Fraction(tally.periodic, total)
     th = random_map_stats(n)
     comparisons = (
         TheoryComparison(
@@ -310,7 +260,7 @@ def baseline_census(
             return exhaustive_random_stats(n, jobs=jobs)
         if samples < 1:
             raise ValueError("sampled mode needs samples >= 1")
-        tally = _run_graph_blocks(_random_sampled_block, (n, seed), samples, jobs)
+        tally = run_blocks(_graph_block, (_random_map, (n,), seed), samples, jobs)
         # the exact sums involve integers with about n log10(n) digits, so
         # past a few thousand points compare against the asymptotics
         if n <= RANDOM_EXACT_THEORY_MAX_N:
@@ -330,12 +280,12 @@ def baseline_census(
         size = m * t
         kind_kwargs = {"m": m, "t": t}
         if mode == "exhaustive":
-            tally = _graph_tally()
+            tally = Tally()
             for g in enumerate_quadratic_graphs(m, t):
-                _tally_graph(tally, g)
-            count = tally["map_count"]
-            avg_c = Fraction(tally["components"], count)
-            avg_p = Fraction(tally["periodic"], count)
+                tally.add(cycle_census(g), 0)
+            count = tally.map_count
+            avg_c = Fraction(tally.components, count)
+            avg_p = Fraction(tally.periodic, count)
             comparisons = (
                 TheoryComparison(
                     name="quadratic_graph_count",
@@ -366,17 +316,17 @@ def baseline_census(
             )
         if samples < 1:
             raise ValueError("sampled mode needs samples >= 1")
-        tally = _run_graph_blocks(_quadratic_sampled_block, (m, t, seed), samples, jobs)
+        tally = run_blocks(_graph_block, (_quadratic_graph, (m, t), seed), samples, jobs)
         expected_c, expected_p = None, th_q.avg_periodic
         z_suffix = ""
     else:
         raise ValueError(f"unknown baseline kind {kind!r}")
 
-    count = tally["map_count"]
-    avg_c = Fraction(tally["components"], count)
-    avg_p = Fraction(tally["periodic"], count)
-    se_c = _stderr(tally["components"], tally["components_sq"], count)
-    se_p = _stderr(tally["periodic"], tally["periodic_sq"], count)
+    count = tally.map_count
+    avg_c = Fraction(tally.components, count)
+    avg_p = Fraction(tally.periodic, count)
+    se_c = mean_stderr(tally.components, tally.components_sq, count)
+    se_p = mean_stderr(tally.periodic, tally.periodic_sq, count)
     comparisons = []
     if expected_c is not None:
         comparisons.append(_z_comparison(f"components_z{z_suffix}", avg_c, expected_c, se_c))

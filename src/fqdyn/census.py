@@ -1,9 +1,9 @@
 """Exhaustive and sampled censuses of cycle statistics, with the
 closed-form values attached as pass/fail comparisons.
 
-The enumeration index space is split into contiguous blocks; each block
-produces integer tallies (map count, component total, periodic total,
-per-length cycle totals, and sums of squares for standard errors) that
+Every run, census, baseline or rho, is one pipeline: an index range is
+split into contiguous blocks, each block turns its indices into maps
+and adds their statistics to integer sums, and the blocks' results
 merge by plain addition.  Addition is associative and commutative, so
 every worker count and schedule yields byte-identical reports.
 
@@ -14,15 +14,17 @@ standard errors and in diagnostics.
 from __future__ import annotations
 
 import math
+import operator
 import os
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 from fractions import Fraction
-from typing import Iterable, Sequence
+from functools import reduce
+from typing import Callable, Sequence
 
 from .ffield import FieldCtx, FqElem
-from .fgraph import brent_rho, build_graph, cycle_census
+from .fgraph import CycleStats, brent_rho, build_graph, cycle_census
 from .fmaps import (
     CONSTANT_INFINITY,
     Poly,
@@ -40,6 +42,7 @@ from .fmaps import (
     poly_gcd,
     poly_mul,
 )
+from .reportio import frac_json
 from .seeding import per_index_rng
 from . import theory
 
@@ -70,99 +73,119 @@ def _check_budget(evaluations: int, budget: int | None, what: str) -> None:
         )
 
 
-def _frac_json(x: Fraction) -> dict:
-    return {"num": str(x.numerator), "den": str(x.denominator)}
+# --- tallies and the block runner ---------------------------------------------
 
 
-# --- tallies (plain dicts so they pickle cheaply) ----------------------------
+@dataclass
+class Tally:
+    """Integer sums of cycle statistics over a set of maps.
+
+    Plain ints and Counters, so a tally pickles cheaply; + merges the
+    tallies of two disjoint sets.
+    """
+
+    map_count: int = 0
+    components: int = 0
+    periodic: int = 0
+    components_sq: int = 0
+    periodic_sq: int = 0
+    k_cycles: Counter = field(default_factory=Counter)
+    k_cycles_sq: Counter = field(default_factory=Counter)
+
+    def add(self, stats: CycleStats, kmax: int) -> None:
+        """Count one map; cycle lengths above kmax stay out of the per-length sums."""
+        c, p = stats.component_count, stats.periodic_count
+        self.map_count += 1
+        self.components += c
+        self.periodic += p
+        self.components_sq += c * c
+        self.periodic_sq += p * p
+        for k, n in stats.k_cycle_counts.items():
+            if k <= kmax:
+                self.k_cycles[k] += n
+                self.k_cycles_sq[k] += n * n
+
+    def __add__(self, other: Tally) -> Tally:
+        return Tally(*(getattr(self, f.name) + getattr(other, f.name) for f in fields(self)))
 
 
-def _empty_tally() -> dict:
-    return {
-        "map_count": 0,
-        "components": 0,
-        "periodic": 0,
-        "components_sq": 0,
-        "periodic_sq": 0,
-        "k_cycles": Counter(),
-        "k_cycles_sq": Counter(),
-    }
+def mean_stderr(total: int, total_sq: int, n: int) -> float | None:
+    """Standard error of the mean from exact sums; None below two samples."""
+    if n < 2:
+        return None
+    var = (Fraction(total_sq) - Fraction(total * total, n)) / (n - 1)
+    return math.sqrt(float(var) / n)
 
 
-def _tally_map(tally: dict, ctx: FieldCtx, m: Poly | RationalMap, kmax: int) -> None:
-    stats = cycle_census(build_graph(ctx, m))
-    tally["map_count"] += 1
-    tally["components"] += stats.component_count
-    tally["periodic"] += stats.periodic_count
-    tally["components_sq"] += stats.component_count**2
-    tally["periodic_sq"] += stats.periodic_count**2
-    for k, c in stats.k_cycle_counts.items():
-        if k <= kmax:
-            tally["k_cycles"][k] += c
-            tally["k_cycles_sq"][k] += c * c
+def _split_blocks(total: int, jobs: int) -> list[tuple[int, int]]:
+    jobs = max(1, min(jobs, total)) if total else 1
+    step = total // jobs
+    extra = total % jobs
+    blocks = []
+    lo = 0
+    for j in range(jobs):
+        hi = lo + step + (1 if j < extra else 0)
+        blocks.append((lo, hi))
+        lo = hi
+    return blocks
 
 
-def _merge_tallies(tallies: Iterable[dict]) -> dict:
-    out = _empty_tally()
-    for t in tallies:
-        out["map_count"] += t["map_count"]
-        out["components"] += t["components"]
-        out["periodic"] += t["periodic"]
-        out["components_sq"] += t["components_sq"]
-        out["periodic_sq"] += t["periodic_sq"]
-        out["k_cycles"].update(t["k_cycles"])
-        out["k_cycles_sq"].update(t["k_cycles_sq"])
-    return out
+def run_blocks(fn: Callable, args: tuple, total: int, jobs: int):
+    """fn(*args, lo, hi) over contiguous blocks covering range(total), one
+    worker process per block when jobs > 1; the results merge with +."""
+    blocks = _split_blocks(total, jobs)
+    if len(blocks) <= 1:
+        return fn(*args, 0, total)
+    with ProcessPoolExecutor(max_workers=len(blocks)) as pool:
+        futures = [pool.submit(fn, *args, lo, hi) for lo, hi in blocks]
+        return reduce(operator.add, (f.result() for f in futures))
 
 
-# --- enumeration index spaces -------------------------------------------------
+# --- enumeration index spaces and samplers --------------------------------------
 
 
-def _poly_index_count(ctx: FieldCtx, d: int, mode: str) -> int:
+def _poly_count(ctx: FieldCtx, d: int, mode: str) -> int:
     return poly_exactly_count(ctx, d) if mode == "exactly" else poly_at_most_count(ctx, d)
+
+
+def _poly_decode(ctx: FieldCtx, d: int, mode: str, i: int) -> Poly:
+    return poly_exactly_at(ctx, d, i) if mode == "exactly" else poly_at_most_at(ctx, d, i)
 
 
 def _rational_raw_count(ctx: FieldCtx, d: int) -> int:
     # monic denominators of each degree e <= d, times all numerators of
-    # degree <= d; the constant-infinity map lives outside this space
+    # degree <= d
     q = ctx.q
     return q ** (d + 1) * sum(q**e for e in range(d + 1))
 
 
-def _exhaustive_block(
-    ctx: FieldCtx, family: str, d: int, mode: str, kmax: int, start: int, stop: int
-) -> dict:
-    tally = _empty_tally()
-    if family == "poly":
-        for i in range(start, stop):
-            f = poly_exactly_at(ctx, d, i) if mode == "exactly" else poly_at_most_at(ctx, d, i)
-            _tally_map(tally, ctx, f, kmax)
-        return tally
+def _rational_index_count(ctx: FieldCtx, d: int, mode: str) -> int:
+    return _rational_raw_count(ctx, d) + 1  # the constant-infinity slot
 
+
+def _rational_map_count(ctx: FieldCtx, d: int, mode: str) -> int:
+    return theory.rat_count(ctx.q, d, mode)
+
+
+def _rational_decode(ctx: FieldCtx, d: int, mode: str, i: int) -> RationalMap | None:
+    """Slot i of the raw pair space, denominators by degree, numerators
+    fastest; the slot after the last pair holds the constant-infinity map.
+    None when the slot is not coprime or not in the degree range."""
     q = ctx.q
     num_count = q ** (d + 1)
-    bounds = []  # (cumulative_start, e) per denominator-degree block
-    acc = 0
     for e in range(d + 1):
-        bounds.append((acc, e))
-        acc += q**e * num_count
-    for i in range(start, stop):
-        e = 0
-        for base, ee in bounds:
-            if i >= base:
-                e = ee
-                block_base = base
-        offset = i - block_base
-        den_idx, num_idx = divmod(offset, num_count)
-        den = monic_poly_at(ctx, e, den_idx)
-        num = poly_at_most_at(ctx, d, num_idx)
-        if mode == "exactly" and max(len(num) - 1, e) != d:
-            continue
-        g = poly_gcd(ctx, num, den)
-        if len(g) > 1:
-            continue
-        _tally_map(tally, ctx, RationalMap(num, den), kmax)
-    return tally
+        block = q**e * num_count
+        if i < block:
+            den_idx, num_idx = divmod(i, num_count)
+            den = monic_poly_at(ctx, e, den_idx)
+            num = poly_at_most_at(ctx, d, num_idx)
+            if mode == "exactly" and max(len(num) - 1, e) != d:
+                return None
+            if len(poly_gcd(ctx, num, den)) > 1:
+                return None
+            return RationalMap(num, den)
+        i -= block
+    return CONSTANT_INFINITY if mode == "at_most" or d == 0 else None
 
 
 def _sample_poly(ctx: FieldCtx, d: int, rng) -> Poly:
@@ -196,79 +219,6 @@ def _sample_rational(ctx: FieldCtx, d: int, rng) -> RationalMap:
             return r
 
 
-def _sampled_block(
-    ctx: FieldCtx,
-    family: str,
-    d: int,
-    kmax: int,
-    seed: int,
-    full_support: bool,
-    start: int,
-    stop: int,
-) -> dict:
-    tally = _empty_tally()
-    for i in range(start, stop):
-        if full_support:
-            m = (
-                poly_exactly_at(ctx, d, i)
-                if family == "poly"
-                else _rational_exact_at(ctx, d, i)
-            )
-            if m is None:
-                continue
-        else:
-            rng = per_index_rng(seed, i)
-            m = _sample_poly(ctx, d, rng) if family == "poly" else _sample_rational(ctx, d, rng)
-        _tally_map(tally, ctx, m, kmax)
-    return tally
-
-
-def _rational_exact_at(ctx: FieldCtx, d: int, i: int) -> RationalMap | None:
-    """Decode index i of the raw pair space, or the constant-infinity
-    slot one past it; None when the slot is non-canonical or wrong degree."""
-    raw = _rational_raw_count(ctx, d)
-    if i == raw:
-        return CONSTANT_INFINITY if d == 0 else None
-    q = ctx.q
-    num_count = q ** (d + 1)
-    acc = 0
-    for e in range(d + 1):
-        block = q**e * num_count
-        if i < acc + block:
-            den_idx, num_idx = divmod(i - acc, num_count)
-            den = monic_poly_at(ctx, e, den_idx)
-            num = poly_at_most_at(ctx, d, num_idx)
-            if max(len(num) - 1, e) != d:
-                return None
-            if len(poly_gcd(ctx, num, den)) > 1:
-                return None
-            return RationalMap(num, den)
-        acc += block
-    raise IndexError(f"index {i} out of raw space {raw}")
-
-
-def _split_blocks(total: int, jobs: int) -> list[tuple[int, int]]:
-    jobs = max(1, min(jobs, total)) if total else 1
-    step = total // jobs
-    extra = total % jobs
-    blocks = []
-    lo = 0
-    for j in range(jobs):
-        hi = lo + step + (1 if j < extra else 0)
-        blocks.append((lo, hi))
-        lo = hi
-    return blocks
-
-
-def _run_blocks(fn, args: tuple, total: int, jobs: int) -> dict:
-    blocks = _split_blocks(total, jobs)
-    if len(blocks) <= 1:
-        return fn(*args, 0, total)
-    with ProcessPoolExecutor(max_workers=len(blocks)) as pool:
-        futures = [pool.submit(fn, *args, lo, hi) for lo, hi in blocks]
-        return _merge_tallies(f.result() for f in futures)
-
-
 # --- reports ------------------------------------------------------------------
 
 
@@ -291,17 +241,17 @@ class TheoryComparison:
         out: dict = {
             "name": self.name,
             "k": self.k,
-            "observed": _frac_json(self.observed),
+            "observed": frac_json(self.observed),
             "relation": self.relation,
             "status": self.status,
             "vacuous": self.vacuous,
         }
         if self.expected is not None:
-            out["expected"] = _frac_json(self.expected)
+            out["expected"] = frac_json(self.expected)
         if self.lower is not None:
-            out["lower"] = _frac_json(self.lower)
+            out["lower"] = frac_json(self.lower)
         if self.upper is not None:
-            out["upper"] = _frac_json(self.upper)
+            out["upper"] = frac_json(self.upper)
         if self.note:
             out["note"] = self.note
         return out
@@ -339,9 +289,9 @@ class CensusReport:
             "mode": self.mode,
             "map_count": self.map_count,
             "kmax": self.kmax,
-            "avg_components": _frac_json(self.avg_components),
-            "avg_periodic": _frac_json(self.avg_periodic),
-            "avg_k_cycles": {str(k): _frac_json(v) for k, v in sorted(self.avg_k_cycles.items())},
+            "avg_components": frac_json(self.avg_components),
+            "avg_periodic": frac_json(self.avg_periodic),
+            "avg_k_cycles": {str(k): frac_json(v) for k, v in sorted(self.avg_k_cycles.items())},
             "theory_comparison": [c.to_jsonable() for c in self.theory_comparison],
         }
         if self.mode == "sampled":
@@ -358,25 +308,17 @@ class CensusReport:
         return out
 
 
-def _stderr(total: int, total_sq: int, n: int) -> float | None:
-    """Standard error of the mean from exact sums; None below two samples."""
-    if n < 2:
-        return None
-    var = (Fraction(total_sq) - Fraction(total * total, n)) / (n - 1)
-    return math.sqrt(float(var) / n)
-
-
 # --- comparison builders -------------------------------------------------------
 
 
-def _poly_comparisons(
-    q: int, d: int, avg_components: Fraction, avg_periodic: Fraction, avg_k: dict[int, Fraction], kmax: int
-) -> tuple[TheoryComparison, ...]:
+def _poly_comparisons(rep: CensusReport) -> tuple[TheoryComparison, ...]:
+    q, d, kmax = rep.q, rep.d, rep.kmax
+    avg_components, avg_periodic = rep.avg_components, rep.avg_periodic
     out: list[TheoryComparison] = []
     top = min(d, kmax) if d >= 1 else min(1, kmax)
     for k in range(1, top + 1):
         expected = theory.poly_avg_k(q, d, k)
-        obs = avg_k.get(k, Fraction(0))
+        obs = rep.avg_k_cycles.get(k, Fraction(0))
         out.append(
             TheoryComparison(
                 name="poly_avg_k_exact",
@@ -435,13 +377,13 @@ def _poly_comparisons(
     return tuple(out)
 
 
-def _rat_comparisons(
-    q: int, d: int, avg_components: Fraction, avg_periodic: Fraction, avg_k: dict[int, Fraction], kmax: int
-) -> tuple[TheoryComparison, ...]:
+def _rat_comparisons(rep: CensusReport) -> tuple[TheoryComparison, ...]:
+    q, d, kmax = rep.q, rep.d, rep.kmax
+    avg_components, avg_periodic = rep.avg_components, rep.avg_periodic
     out: list[TheoryComparison] = []
     for k in range(1, min(d + 1, kmax) + 1):
         b = theory.rat_avg_k_bounds(q, d, k)
-        obs = avg_k.get(k, Fraction(0))
+        obs = rep.avg_k_cycles.get(k, Fraction(0))
         if k <= d:
             ok = b.lower < obs < b.upper
             rel = "strictly between"
@@ -505,6 +447,86 @@ def _rat_comparisons(
     return tuple(out)
 
 
+# --- map families ----------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Family:
+    """One family of maps over F_q, and everything a census needs from it.
+
+    Enumeration modes are "exactly" and "at_most" (degree d or <= d).
+    decode(ctx, d, mode, i) gives the map in slot i of index_count(ctx,
+    d, mode) slots, or None for a slot outside the mode; map_count(ctx,
+    d, mode) is the closed-form number of maps those slots hold.
+    """
+
+    name: str  # "poly" | "rational", as reports echo it
+    points_at_infinity: int  # graphs have q + this many vertices
+    index_count: Callable[[FieldCtx, int, str], int]
+    map_count: Callable[[FieldCtx, int, str], int]
+    decode: Callable[[FieldCtx, int, str, int], Poly | RationalMap | None]
+    sample: Callable  # (ctx, d, rng) -> uniform map of degree exactly d
+    evaluate: Callable  # (ctx, map, point) -> point
+    comparisons: Callable[[CensusReport], tuple[TheoryComparison, ...]]
+
+    def vertices(self, ctx: FieldCtx) -> int:
+        return ctx.q + self.points_at_infinity
+
+
+POLY = Family(
+    "poly", 0, _poly_count, _poly_count, _poly_decode, _sample_poly, eval_poly, _poly_comparisons
+)
+RATIONAL = Family(
+    "rational",
+    1,
+    _rational_index_count,
+    _rational_map_count,
+    _rational_decode,
+    _sample_rational,
+    eval_rational,
+    _rat_comparisons,
+)
+FAMILIES = {f.name: f for f in (POLY, RATIONAL)}
+
+
+def _family(name: str) -> Family:
+    if name not in FAMILIES:
+        raise ValueError(f"unknown family {name!r}")
+    return FAMILIES[name]
+
+
+# --- the census pipeline -----------------------------------------------------------
+
+
+def _census_block(
+    ctx: FieldCtx, family: Family, d: int, mode: str | None, kmax: int, seed: int | None, start: int, stop: int
+) -> Tally:
+    """Tally the maps in slots [start, stop) of the mode's enumeration, or,
+    with a seed, the maps drawn from each index's own random stream."""
+    tally = Tally()
+    for i in range(start, stop):
+        m = family.decode(ctx, d, mode, i) if seed is None else family.sample(ctx, d, per_index_rng(seed, i))
+        if m is not None:
+            tally.add(cycle_census(build_graph(ctx, m)), kmax)
+    return tally
+
+
+def _exhaustive_tally(
+    ctx: FieldCtx, family: Family, d: int, mode: str, kmax: int, jobs: int, budget: int | None, what: str
+) -> Tally:
+    if d < 0:
+        raise ValueError("degree must be >= 0")
+    count = family.map_count(ctx, d, mode)
+    _check_budget(count * family.vertices(ctx), budget, f"{family.name} {what} q={ctx.q} d={d}")
+    total = family.index_count(ctx, d, mode)
+    tally = run_blocks(_census_block, (ctx, family, d, mode, kmax, None), total, jobs)
+    if tally.map_count != count:
+        raise AssertionError(
+            f"enumerated {tally.map_count} maps, closed form says {count}; this is a bug"
+        )
+    return tally
+
+
 _D0_NOTE = (
     "degree-0 polynomials are all q constants, the zero map included; "
     "every constant map has the same graph shape, so the averages are "
@@ -521,20 +543,15 @@ _SAMPLING_NOTE = (
 
 def _build_report(
     ctx: FieldCtx,
-    family: str,
+    family: Family,
     d: int,
     kmax: int,
-    tally: dict,
+    tally: Tally,
     mode: str,
     seed: int | None = None,
     full_support: bool = False,
 ) -> CensusReport:
-    n = tally["map_count"]
-    avg_components = Fraction(tally["components"], n)
-    avg_periodic = Fraction(tally["periodic"], n)
-    avg_k = {k: Fraction(c, n) for k, c in sorted(tally["k_cycles"].items())}
-    builder = _poly_comparisons if family == "poly" else _rat_comparisons
-    comparisons = builder(ctx.q, d, avg_components, avg_periodic, avg_k, kmax)
+    n = tally.map_count
     notes: dict = {}
     if d == 0:
         notes["d0_convention"] = _D0_NOTE
@@ -545,63 +562,51 @@ def _build_report(
             "sample_count": n,
             "seed": seed,
             "full_support": full_support,
-            "stderr_components": _stderr(tally["components"], tally["components_sq"], n),
-            "stderr_periodic": _stderr(tally["periodic"], tally["periodic_sq"], n),
+            "stderr_components": mean_stderr(tally.components, tally.components_sq, n),
+            "stderr_periodic": mean_stderr(tally.periodic, tally.periodic_sq, n),
             "stderr_k_cycles": {
-                k: _stderr(tally["k_cycles"][k], tally["k_cycles_sq"][k], n)
-                for k in sorted(tally["k_cycles"])
+                k: mean_stderr(tally.k_cycles[k], tally.k_cycles_sq[k], n) for k in sorted(tally.k_cycles)
             },
         }
-    return CensusReport(
-        family=family,
+    rep = CensusReport(
+        family=family.name,
         q=ctx.q,
         d=d,
         mode=mode,
         map_count=n,
         kmax=kmax,
-        avg_components=avg_components,
-        avg_periodic=avg_periodic,
-        avg_k_cycles=avg_k,
-        theory_comparison=comparisons,
+        avg_components=Fraction(tally.components, n),
+        avg_periodic=Fraction(tally.periodic, n),
+        avg_k_cycles={k: Fraction(c, n) for k, c in sorted(tally.k_cycles.items())},
         notes=notes,
         **kwargs,
     )
+    return replace(rep, theory_comparison=family.comparisons(rep))
 
 
 # --- public census operations ---------------------------------------------------
+
+
+def _exhaustive_census(
+    ctx: FieldCtx, family: Family, d: int, kmax: int | None, jobs: int, budget: int | None
+) -> CensusReport:
+    kmax = family.vertices(ctx) if kmax is None else kmax
+    tally = _exhaustive_tally(ctx, family, d, "exactly", kmax, jobs, budget, "census")
+    return _build_report(ctx, family, d, kmax, tally, "exhaustive")
 
 
 def poly_census(
     ctx: FieldCtx, d: int, kmax: int | None = None, jobs: int = 1, budget: int | None = None
 ) -> CensusReport:
     """Exact averages over all polynomials of degree exactly d."""
-    if d < 0:
-        raise ValueError("degree must be >= 0")
-    count = poly_exactly_count(ctx, d)
-    _check_budget(count * ctx.q, budget, f"poly census q={ctx.q} d={d}")
-    kmax = ctx.q if kmax is None else kmax
-    tally = _run_blocks(_exhaustive_block, (ctx, "poly", d, "exactly", kmax), count, jobs)
-    return _build_report(ctx, "poly", d, kmax, tally, "exhaustive")
+    return _exhaustive_census(ctx, POLY, d, kmax, jobs, budget)
 
 
 def rat_census(
     ctx: FieldCtx, d: int, kmax: int | None = None, jobs: int = 1, budget: int | None = None
 ) -> CensusReport:
     """Exact averages over all rational maps of degree exactly d."""
-    if d < 0:
-        raise ValueError("degree must be >= 0")
-    count = theory.rat_count(ctx.q, d, "exactly")
-    _check_budget(count * (ctx.q + 1), budget, f"rational census q={ctx.q} d={d}")
-    kmax = ctx.q + 1 if kmax is None else kmax
-    raw = _rational_raw_count(ctx, d)
-    tally = _run_blocks(_exhaustive_block, (ctx, "rational", d, "exactly", kmax), raw, jobs)
-    if d == 0:
-        _tally_map(tally, ctx, CONSTANT_INFINITY, kmax)
-    if tally["map_count"] != count:
-        raise AssertionError(
-            f"enumerated {tally['map_count']} maps, closed form says {count}; this is a bug"
-        )
-    return _build_report(ctx, "rational", d, kmax, tally, "exhaustive")
+    return _exhaustive_census(ctx, RATIONAL, d, kmax, jobs, budget)
 
 
 def sampled_census(
@@ -617,62 +622,43 @@ def sampled_census(
     """Monte Carlo companion of the exact census; deterministic in
     (seed, samples) and independent of worker count.
 
-    With full_support=True the sampler walks the whole enumeration space
-    exactly once instead of drawing, so the averages match the
-    exhaustive census exactly.
+    With full_support=True the whole enumeration is tallied exactly once
+    instead of drawing, so the averages match the exhaustive census
+    exactly; samples is then ignored.
     """
-    if family not in ("poly", "rational"):
-        raise ValueError(f"unknown family {family!r}")
+    fam = _family(family)
     if d < 0:
         raise ValueError("degree must be >= 0")
     if samples < 1 and not full_support:
         raise ValueError("samples must be >= 1")
-    kmax_r = (ctx.q if family == "poly" else ctx.q + 1) if kmax is None else kmax
+    kmax = fam.vertices(ctx) if kmax is None else kmax
     if full_support:
-        total = (
-            poly_exactly_count(ctx, d)
-            if family == "poly"
-            else _rational_raw_count(ctx, d) + (1 if d == 0 else 0)
-        )
+        tally = _exhaustive_tally(ctx, fam, d, "exactly", kmax, jobs, None, "census")
     else:
-        total = samples
-    tally = _run_blocks(
-        _sampled_block,
-        (ctx, family, d, kmax_r, seed, full_support),
-        total,
-        jobs,
-    )
-    return _build_report(
-        ctx, family, d, kmax_r, tally, "sampled", seed=seed, full_support=full_support
-    )
+        tally = run_blocks(_census_block, (ctx, fam, d, None, kmax, seed), samples, jobs)
+    return _build_report(ctx, fam, d, kmax, tally, "sampled", seed=seed, full_support=full_support)
+
+
+def _cycle_totals_at_most(
+    ctx: FieldCtx, family: Family, d: int, kmax: int | None, jobs: int, budget: int | None
+) -> tuple[dict[int, int], int]:
+    kmax = family.vertices(ctx) if kmax is None else kmax
+    tally = _exhaustive_tally(ctx, family, d, "at_most", kmax, jobs, budget, "cycle totals")
+    return dict(sorted(tally.k_cycles.items())), tally.map_count
 
 
 def poly_cycle_totals_at_most(
     ctx: FieldCtx, d: int, kmax: int | None = None, jobs: int = 1, budget: int | None = None
 ) -> tuple[dict[int, int], int]:
     """(k -> total k-cycles, map count) over all polynomials of degree <= d."""
-    count = poly_at_most_count(ctx, d)
-    _check_budget(count * ctx.q, budget, f"poly cycle totals q={ctx.q} d={d}")
-    kmax = ctx.q if kmax is None else kmax
-    tally = _run_blocks(_exhaustive_block, (ctx, "poly", d, "at_most", kmax), count, jobs)
-    return dict(sorted(tally["k_cycles"].items())), tally["map_count"]
+    return _cycle_totals_at_most(ctx, POLY, d, kmax, jobs, budget)
 
 
 def rat_cycle_totals_at_most(
     ctx: FieldCtx, d: int, kmax: int | None = None, jobs: int = 1, budget: int | None = None
 ) -> tuple[dict[int, int], int]:
     """(k -> total k-cycles, map count) over all rational maps of degree <= d."""
-    count = theory.rat_count(ctx.q, d, "at_most")
-    _check_budget(count * (ctx.q + 1), budget, f"rational cycle totals q={ctx.q} d={d}")
-    kmax = ctx.q + 1 if kmax is None else kmax
-    raw = _rational_raw_count(ctx, d)
-    tally = _run_blocks(_exhaustive_block, (ctx, "rational", d, "at_most", kmax), raw, jobs)
-    _tally_map(tally, ctx, CONSTANT_INFINITY, kmax)
-    if tally["map_count"] != count:
-        raise AssertionError(
-            f"enumerated {tally['map_count']} maps, closed form says {count}; this is a bug"
-        )
-    return dict(sorted(tally["k_cycles"].items())), tally["map_count"]
+    return _cycle_totals_at_most(ctx, RATIONAL, d, kmax, jobs, budget)
 
 
 # --- brute-force oracles for the closed-form counting arguments -----------------
@@ -815,31 +801,21 @@ class RhoSummary:
             "d": self.d,
             "samples": self.samples,
             "seed": self.seed,
-            "mean_tail": _frac_json(self.mean_tail),
-            "mean_cycle": _frac_json(self.mean_cycle),
-            "mean_rho": _frac_json(self.mean_rho),
+            "mean_tail": frac_json(self.mean_tail),
+            "mean_cycle": frac_json(self.mean_cycle),
+            "mean_rho": frac_json(self.mean_rho),
             "histogram": {str(k): v for k, v in sorted(self.histogram.items())},
         }
 
 
-def _rho_block(ctx: FieldCtx, family: str, d: int, seed: int, start: int, stop: int) -> dict:
-    tail_sum = 0
-    cycle_sum = 0
-    hist: Counter = Counter()
+def _rho_block(ctx: FieldCtx, family: Family, d: int, seed: int, start: int, stop: int) -> Counter:
+    walks: Counter = Counter()  # (tail, cycle) -> number of walks
     for i in range(start, stop):
         rng = per_index_rng(seed, i)
-        if family == "poly":
-            f = _sample_poly(ctx, d, rng)
-            start_pt = rng.randrange(ctx.q)
-            tail, cyc = brent_rho(lambda x: eval_poly(ctx, f, x), start_pt)
-        else:
-            r = _sample_rational(ctx, d, rng)
-            start_pt = rng.randrange(ctx.q + 1)
-            tail, cyc = brent_rho(lambda x: eval_rational(ctx, r, x), start_pt)
-        tail_sum += tail
-        cycle_sum += cyc
-        hist[tail + cyc] += 1
-    return {"tail": tail_sum, "cycle": cycle_sum, "hist": hist}
+        m = family.sample(ctx, d, rng)
+        start_pt = rng.randrange(family.vertices(ctx))
+        walks[brent_rho(lambda x: family.evaluate(ctx, m, x), start_pt)] += 1
+    return walks
 
 
 def rho_experiment(
@@ -848,20 +824,12 @@ def rho_experiment(
     """Sampled tail/cycle lengths via Brent iteration, no graphs built."""
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    if family not in ("poly", "rational"):
-        raise ValueError(f"unknown family {family!r}")
-    blocks = _split_blocks(samples, jobs)
-    if len(blocks) <= 1:
-        parts = [_rho_block(ctx, family, d, seed, 0, samples)]
-    else:
-        with ProcessPoolExecutor(max_workers=len(blocks)) as pool:
-            futures = [pool.submit(_rho_block, ctx, family, d, seed, lo, hi) for lo, hi in blocks]
-            parts = [f.result() for f in futures]
-    tail = sum(p["tail"] for p in parts)
-    cyc = sum(p["cycle"] for p in parts)
+    walks = run_blocks(_rho_block, (ctx, _family(family), d, seed), samples, jobs)
+    tail = sum(t * n for (t, _), n in walks.items())
+    cyc = sum(c * n for (_, c), n in walks.items())
     hist: Counter = Counter()
-    for p in parts:
-        hist.update(p["hist"])
+    for (t, c), n in walks.items():
+        hist[t + c] += n
     return RhoSummary(
         family=family,
         q=ctx.q,

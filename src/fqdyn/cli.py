@@ -25,10 +25,10 @@ import argparse
 import math
 import os
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 from .census import (
+    FAMILIES,
     BudgetError,
     enumerate_S,
     poly_census,
@@ -45,7 +45,7 @@ from .census import (
 from .baseline import baseline_census
 from .ffield import FieldCtx, make_field
 from .fmaps import enumerate_rationals
-from .reportio import render_csv, render_json
+from .reportio import frac_json, render_csv, render_json
 from .seeding import per_index_rng
 from .theory import (
     coprime_prob,
@@ -69,10 +69,6 @@ def _canon_family(name: str) -> str:
 
 def _default_jobs() -> int:
     return os.cpu_count() or 1
-
-
-def _frac(x: Fraction) -> dict:
-    return {"num": str(x.numerator), "den": str(x.denominator)}
 
 
 def _add_field_flags(p: argparse.ArgumentParser) -> None:
@@ -176,9 +172,8 @@ def _cmd_census(args, jobs: int):
     family = _canon_family(args.family)
     ctx = _field(args)
     if args.samples is not None or args.full_support:
-        size = ctx.q if family == "poly" else ctx.q + 1
         draws = args.samples if args.samples is not None else 0
-        if not args.full_support and draws * size > resolve_budget(args.budget):
+        if not args.full_support and draws * FAMILIES[family].vertices(ctx) > resolve_budget(args.budget):
             raise BudgetError(
                 f"sampled census of {draws} maps over q={ctx.q} exceeds the "
                 f"evaluation budget {resolve_budget(args.budget)}; lower --samples"
@@ -193,10 +188,9 @@ def _cmd_census(args, jobs: int):
             jobs=jobs,
             full_support=args.full_support,
         )
-    elif family == "poly":
-        rep = poly_census(ctx, args.d, kmax=args.kmax, jobs=jobs, budget=args.budget)
     else:
-        rep = rat_census(ctx, args.d, kmax=args.kmax, jobs=jobs, budget=args.budget)
+        exhaustive = {"poly": poly_census, "rational": rat_census}[family]
+        rep = exhaustive(ctx, args.d, kmax=args.kmax, jobs=jobs, budget=args.budget)
     config = {
         "command": "census",
         "family": family,
@@ -338,8 +332,8 @@ def _cmd_verify_cycle_bounds(args, jobs: int):
                 "k": k,
                 "maps": count,
                 "observed_total": observed,
-                "lower": _frac(b.lower),
-                "upper": _frac(b.upper),
+                "lower": frac_json(b.lower),
+                "upper": frac_json(b.upper),
                 "vacuous_lower": b.vacuous_lower,
             }
             if b.vacuous_lower:
@@ -396,16 +390,16 @@ def _cmd_theory(args):
         except ValueError:
             pass
         try:
-            poly["avg_k"][str(k)] = _frac(poly_avg_k(q, d, k))
+            poly["avg_k"][str(k)] = frac_json(poly_avg_k(q, d, k))
         except ValueError:
             pass
     poly["component_bounds"] = poly_component_bounds(q, d).to_jsonable()
-    poly["periodic_lower"] = _frac(poly_periodic_lower(q, d))
+    poly["periodic_lower"] = frac_json(poly_periodic_lower(q, d))
     poly["periodic_minorant"] = poly_periodic_minorant(q, d)
     rat: dict = {
         "count_at_most": rat_count(q, d, "at_most"),
         "count_exactly": rat_count(q, d, "exactly"),
-        "coprime_prob": _frac(coprime_prob(q, d)),
+        "coprime_prob": frac_json(coprime_prob(q, d)),
         "k_total_bounds": {},
         "avg_k_bounds": {},
     }
@@ -416,7 +410,7 @@ def _cmd_theory(args):
         except ValueError:
             pass
     rat["component_bounds"] = rat_component_bounds(q, d).to_jsonable()
-    rat["periodic_lower"] = _frac(rat_periodic_lower(q, d))
+    rat["periodic_lower"] = frac_json(rat_periodic_lower(q, d))
     rat["periodic_minorant"] = rat_periodic_minorant(q, d)
     config = {"command": "theory", "p": args.p, "n": args.n, "q": q, "d": d, "kmax": kmax}
     return config, {"poly": poly, "rational": rat}, False
@@ -425,7 +419,7 @@ def _cmd_theory(args):
 def _cmd_rho(args, jobs: int):
     ctx = _field(args)
     family = _canon_family(args.family)
-    size = ctx.q if family == "poly" else ctx.q + 1
+    size = FAMILIES[family].vertices(ctx)
     # generous bound: a walk never exceeds the space, so budget on the worst case
     if args.samples * size > resolve_budget(args.budget):
         raise BudgetError(

@@ -21,7 +21,7 @@ picks one representative per projective class.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator, Literal, Sequence
+from typing import Iterator, Literal, Sequence
 
 from .ffield import FieldCtx, FqElem
 
@@ -374,7 +374,3 @@ def conjugate(ctx: FieldCtx, r: RationalMap, phi: Sequence[FqElem]) -> RationalM
             "this is a bug, not valid data"
         )
     return result
-
-
-def rational_eval_fn(ctx: FieldCtx, r: RationalMap) -> Callable[[ProjPoint], ProjPoint]:
-    return lambda x: eval_rational(ctx, r, x)

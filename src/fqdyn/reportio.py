@@ -34,6 +34,11 @@ CSV_COLUMNS = (
 )
 
 
+def frac_json(x: Fraction) -> dict:
+    """An exact rational as a string pair, so any size survives JSON."""
+    return {"num": str(x.numerator), "den": str(x.denominator)}
+
+
 def render_json(config: dict, report: dict) -> str:
     payload = {"schema": SCHEMA_VERSION, "config": config, "report": report}
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"

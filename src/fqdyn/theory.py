@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-Rational = Fraction
+from .reportio import frac_json
 
 EULER_GAMMA = 0.57721566490153286
 
@@ -60,21 +60,17 @@ class BoundSet:
 
     def to_jsonable(self) -> dict:
         out: dict = {
-            "lower": _frac_json(self.lower),
-            "upper": _frac_json(self.upper),
+            "lower": frac_json(self.lower),
+            "upper": frac_json(self.upper),
             "lower_is_tight": self.lower_is_tight,
             "lower_applies": self.lower_applies,
             "vacuous_lower": self.vacuous_lower,
         }
         if self.center is not None:
-            out["center"] = _frac_json(self.center)
+            out["center"] = frac_json(self.center)
         if self.notes:
-            out["notes"] = {k: _frac_json(v) if isinstance(v, Fraction) else v for k, v in self.notes.items()}
+            out["notes"] = {k: frac_json(v) if isinstance(v, Fraction) else v for k, v in self.notes.items()}
         return out
-
-
-def _frac_json(x: Fraction) -> dict:
-    return {"num": str(x.numerator), "den": str(x.denominator)}
 
 
 # --- polynomial maps ---------------------------------------------------------
@@ -266,9 +262,9 @@ class RandomMapStats:
 
     def to_jsonable(self) -> dict:
         return {
-            "components_exact": _frac_json(self.components_exact),
+            "components_exact": frac_json(self.components_exact),
             "components_asymptotic": self.components_asymptotic,
-            "periodic_exact": _frac_json(self.periodic_exact),
+            "periodic_exact": frac_json(self.periodic_exact),
             "periodic_asymptotic": self.periodic_asymptotic,
         }
 
@@ -321,7 +317,7 @@ class QuadGraphStats:
     def to_jsonable(self) -> dict:
         return {
             "graph_count": self.graph_count,
-            "avg_periodic": _frac_json(self.avg_periodic),
+            "avg_periodic": frac_json(self.avg_periodic),
         }
 
 
