@@ -17,7 +17,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Callable, Iterator
 
-from .census import BudgetError, Tally, TheoryComparison, mean_stderr, run_blocks
+from .census import BudgetError, Tally, TheoryComparison, mean_stderr, run_blocks, z_comparison
 from .fgraph import FunctionalGraph, cycle_census
 from .reportio import frac_json
 from .seeding import per_index_rng
@@ -212,30 +212,6 @@ def exhaustive_random_stats(n: int, jobs: int = 1) -> BaselineReport:
     )
 
 
-def _z_comparison(name: str, observed: Fraction, expected: Fraction, stderr: float | None) -> TheoryComparison:
-    if stderr is None or stderr == 0.0:
-        # degenerate sample; fall back to an exact comparison
-        ok = observed == expected
-        return TheoryComparison(
-            name=name,
-            k=None,
-            observed=observed,
-            expected=expected,
-            relation="== (no spread in sample)",
-            status="pass" if ok else "fail",
-        )
-    z = float(observed - expected) / stderr
-    return TheoryComparison(
-        name=name,
-        k=None,
-        observed=observed,
-        expected=expected,
-        relation=f"|z| <= 5 (z = {z:+.3f})",
-        status="pass" if abs(z) <= 5.0 else "fail",
-        note=f"z={z:.6f}",
-    )
-
-
 def baseline_census(
     kind: str,
     *,
@@ -329,9 +305,9 @@ def baseline_census(
     se_p = mean_stderr(tally.periodic, tally.periodic_sq, count)
     comparisons = []
     if expected_c is not None:
-        comparisons.append(_z_comparison(f"components_z{z_suffix}", avg_c, expected_c, se_c))
+        comparisons.append(z_comparison(f"components_z{z_suffix}", None, avg_c, expected_c, se_c))
     if expected_p is not None:
-        comparisons.append(_z_comparison(f"periodic_z{z_suffix}", avg_p, expected_p, se_p))
+        comparisons.append(z_comparison(f"periodic_z{z_suffix}", None, avg_p, expected_p, se_p))
     return BaselineReport(
         kind=kind,
         mode="sampled",

@@ -257,6 +257,33 @@ class TheoryComparison:
         return out
 
 
+def z_comparison(
+    name: str, k: int | None, observed: Fraction, expected: Fraction, stderr: float | None
+) -> TheoryComparison:
+    """A sampled mean against its exact expectation: pass when |z| <= 5."""
+    if stderr is None or stderr == 0.0:
+        # degenerate sample; fall back to an exact comparison
+        ok = observed == expected
+        return TheoryComparison(
+            name=name,
+            k=k,
+            observed=observed,
+            expected=expected,
+            relation="== (no spread in sample)",
+            status="pass" if ok else "fail",
+        )
+    z = float(observed - expected) / stderr
+    return TheoryComparison(
+        name=name,
+        k=k,
+        observed=observed,
+        expected=expected,
+        relation=f"|z| <= 5 (z = {z:+.3f})",
+        status="pass" if abs(z) <= 5.0 else "fail",
+        note=f"z={z:.6f}",
+    )
+
+
 @dataclass(frozen=True)
 class CensusReport:
     family: str  # "poly" | "rational"
@@ -311,6 +338,36 @@ class CensusReport:
 # --- comparison builders -------------------------------------------------------
 
 
+def _equality(
+    rep: CensusReport, name: str, k: int | None, observed: Fraction, target: Fraction, stderr: float | None, **fields
+) -> TheoryComparison:
+    """observed == target on exact averages; drawn samples get a z-check
+    instead, since a Monte Carlo mean almost never equals its expectation.
+    fields carries the relation text and the bound the target stands for."""
+    if rep.mode == "sampled" and not rep.full_support:
+        return z_comparison(name, k, observed, target, stderr)
+    return TheoryComparison(name=name, k=k, observed=observed, status="pass" if observed == target else "fail", **fields)
+
+
+def _poly_lower(
+    rep: CensusReport, name: str, observed: Fraction, lower: Fraction, stderr: float | None,
+    tight: bool, relation: str, holds: bool, **flags,
+) -> TheoryComparison:
+    """A lower-bound row: an equality where the bound is tight, else the
+    given relation, which holds or not."""
+    if tight:
+        return _equality(rep, name, None, observed, lower, stderr, relation="== (tight: d >= q)", lower=lower, **flags)
+    return TheoryComparison(
+        name=name,
+        k=None,
+        observed=observed,
+        lower=lower,
+        relation=relation,
+        status="pass" if holds else "fail",
+        **flags,
+    )
+
+
 def _poly_comparisons(rep: CensusReport) -> tuple[TheoryComparison, ...]:
     q, d, kmax = rep.q, rep.d, rep.kmax
     avg_components, avg_periodic = rep.avg_components, rep.avg_periodic
@@ -319,31 +376,13 @@ def _poly_comparisons(rep: CensusReport) -> tuple[TheoryComparison, ...]:
     for k in range(1, top + 1):
         expected = theory.poly_avg_k(q, d, k)
         obs = rep.avg_k_cycles.get(k, Fraction(0))
-        out.append(
-            TheoryComparison(
-                name="poly_avg_k_exact",
-                k=k,
-                observed=obs,
-                expected=expected,
-                relation="==",
-                status="pass" if obs == expected else "fail",
-            )
-        )
+        se = (rep.stderr_k_cycles or {}).get(k)
+        out.append(_equality(rep, "poly_avg_k_exact", k, obs, expected, se, relation="==", expected=expected))
     b = theory.poly_component_bounds(q, d)
-    if d >= q:
-        comp_ok = avg_components == b.lower
-        rel = "== (tight: d >= q)"
-    else:
-        comp_ok = avg_components > b.lower
-        rel = "> (strict: d < q)"
     out.append(
-        TheoryComparison(
-            name="poly_components_lower",
-            k=None,
-            observed=avg_components,
-            lower=b.lower,
-            relation=rel,
-            status="pass" if comp_ok else "fail",
+        _poly_lower(
+            rep, "poly_components_lower", avg_components, b.lower, rep.stderr_components,
+            d >= q, "> (strict: d < q)", avg_components > b.lower,
         )
     )
     out.append(
@@ -357,21 +396,10 @@ def _poly_comparisons(rep: CensusReport) -> tuple[TheoryComparison, ...]:
         )
     )
     pl = theory.poly_periodic_lower(q, d)
-    if d >= q:
-        peri_ok = avg_periodic == pl
-        rel = "== (tight: d >= q)"
-    else:
-        peri_ok = avg_periodic >= pl
-        rel = ">="
     out.append(
-        TheoryComparison(
-            name="poly_periodic_lower",
-            k=None,
-            observed=avg_periodic,
-            lower=pl,
-            relation=rel,
-            status="pass" if peri_ok else "fail",
-            vacuous=pl <= 0,
+        _poly_lower(
+            rep, "poly_periodic_lower", avg_periodic, pl, rep.stderr_periodic,
+            d >= q, ">=", avg_periodic >= pl, vacuous=pl <= 0,
         )
     )
     return tuple(out)

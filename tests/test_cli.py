@@ -92,6 +92,16 @@ class TestCensusCommand:
         assert doc["report"]["mode"] == "sampled"
         assert doc["config"]["seed"] == 7
 
+    def test_sampled_poly_equalities_are_z_checks(self, capsys):
+        # a Monte Carlo mean is checked against the exact closed form by
+        # its z-score; exact equality failed every sampled run at d >= 2
+        code = cli.run(["census", "--p", "7", "--d", "2", "--samples", "60", "--seed", "3", "--jobs", "1"])
+        assert code == 0
+        rows = json.loads(capsys.readouterr().out)["report"]["theory_comparison"]
+        exact = [c for c in rows if c["name"] == "poly_avg_k_exact"]
+        assert [c["k"] for c in exact] == [1, 2]
+        assert all(c["relation"].startswith("|z| <= 5") and c["status"] == "pass" for c in exact)
+
     def test_extension_field(self):
         code, out, err = run_cli("census", "--p", "2", "--n", "2", "--d", "1")
         assert code == 0, err

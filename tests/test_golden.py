@@ -31,12 +31,12 @@ COMMANDS = {
     "census-rat-f2-d0": (["census", "--family", "rat", "--p", "2", "--d", "0"], 0),
     "census-rat-f4-d1": (["census", "--family", "rat", "--p", "2", "--n", "2", "--d", "1"], 0),
     "census-rat-f3-d2-csv": (["census", "--family", "rat", "--p", "3", "--d", "2", "--format", "csv"], 0),
-    "sampled-poly-f7-d2": (["census", "--p", "7", "--d", "2", "--samples", "60", "--seed", "3"], 1),
+    "sampled-poly-f7-d2": (["census", "--p", "7", "--d", "2", "--samples", "60", "--seed", "3"], 0),
     "sampled-poly-f5-d1-csv": (
         ["census", "--p", "5", "--d", "1", "--samples", "40", "--seed", "1", "--format", "csv"],
         0,
     ),
-    "sampled-poly-f3-d3": (["census", "--p", "3", "--d", "3", "--samples", "30", "--seed", "0"], 1),
+    "sampled-poly-f3-d3": (["census", "--p", "3", "--d", "3", "--samples", "30", "--seed", "0"], 0),
     "sampled-rat-f5-d2": (["census", "--family", "rat", "--p", "5", "--d", "2", "--samples", "50", "--seed", "2"], 0),
     "full-poly-f3-d2": (["census", "--p", "3", "--d", "2", "--full-support"], 1),
     "full-rat-f2-d0": (["census", "--family", "rat", "--p", "2", "--d", "0", "--full-support"], 0),
