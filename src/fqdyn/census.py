@@ -353,10 +353,10 @@ def _poly_lower(
     rep: CensusReport, name: str, observed: Fraction, lower: Fraction, stderr: float | None,
     tight: bool, relation: str, holds: bool, **flags,
 ) -> TheoryComparison:
-    """A lower-bound row: an equality where the bound is tight, else the
-    given relation, which holds or not."""
+    """A lower-bound row: an equality where the bound is tight, else a
+    bound that holds or not."""
     if tight:
-        return _equality(rep, name, None, observed, lower, stderr, relation="== (tight: d >= q)", lower=lower, **flags)
+        return _equality(rep, name, None, observed, lower, stderr, relation=relation, lower=lower, **flags)
     return TheoryComparison(
         name=name,
         k=None,
@@ -379,10 +379,12 @@ def _poly_comparisons(rep: CensusReport) -> tuple[TheoryComparison, ...]:
         se = (rep.stderr_k_cycles or {}).get(k)
         out.append(_equality(rep, "poly_avg_k_exact", k, obs, expected, se, relation="==", expected=expected))
     b = theory.poly_component_bounds(q, d)
+    tight = b.lower_is_tight
+    tight_rel = "== (tight: d >= q)" if d >= q else "== (tight: d = q-1, q > 2)"
     out.append(
         _poly_lower(
             rep, "poly_components_lower", avg_components, b.lower, rep.stderr_components,
-            d >= q, "> (strict: d < q)", avg_components > b.lower,
+            tight, tight_rel if tight else "> (strict: d < q)", avg_components > b.lower,
         )
     )
     out.append(
@@ -399,7 +401,7 @@ def _poly_comparisons(rep: CensusReport) -> tuple[TheoryComparison, ...]:
     out.append(
         _poly_lower(
             rep, "poly_periodic_lower", avg_periodic, pl, rep.stderr_periodic,
-            d >= q, ">=", avg_periodic >= pl, vacuous=pl <= 0,
+            tight, tight_rel if tight else ">=", avg_periodic >= pl, vacuous=pl <= 0,
         )
     )
     return tuple(out)

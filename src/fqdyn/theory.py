@@ -107,7 +107,8 @@ def poly_component_bounds(q: int, d: int) -> BoundSet:
     """Bounds on the average number of components of a degree-d polynomial.
 
     Lower: sum of falling(q,k)/(k q^k) for k = 1..min(d,q), exact when
-    d >= q.  Upper: harmonic(d+1) + q/(d+2) for d < q-1, harmonic(q)
+    d >= q, and at d = q-1 when q > 2, where no polynomial permutes F_q
+    (so none has a q-cycle).  Upper: harmonic(d+1) + q/(d+2) for d < q-1, harmonic(q)
     otherwise.  A logarithmic float minorant log(min(d, isqrt(q))+1) - 1/4
     rides along as a diagnostic.
     """
@@ -121,15 +122,15 @@ def poly_component_bounds(q: int, d: int) -> BoundSet:
     return BoundSet(
         lower=lower,
         upper=upper,
-        lower_is_tight=d >= q,
+        lower_is_tight=d >= q or (q > 2 and d == q - 1),
         notes={"log_minorant": minorant},
     )
 
 
 def poly_periodic_lower(q: int, d: int) -> Fraction:
     """Lower bound on the average number of periodic points of a degree-d
-    polynomial: sum of falling(q,k)/q^k for k = 1..min(d,q); exact when
-    d >= q."""
+    polynomial: sum of falling(q,k)/q^k for k = 1..min(d,q); exact where
+    poly_component_bounds(q, d).lower_is_tight."""
     return sum((Fraction(falling(q, k), q**k) for k in range(1, min(d, q) + 1)), Fraction(0))
 
 

@@ -22,7 +22,13 @@ from fqdyn.census import (
 from fqdyn.ffield import make_field
 from fqdyn.fmaps import poly_mul
 from fqdyn.seeding import per_index_rng
-from fqdyn.theory import poly_avg_k, poly_cycle_sum, rat_count, rat_k_cycle_total_bounds
+from fqdyn.theory import (
+    poly_avg_k,
+    poly_component_bounds,
+    poly_cycle_sum,
+    rat_count,
+    rat_k_cycle_total_bounds,
+)
 
 F2 = make_field(2)
 F3 = make_field(3)
@@ -65,6 +71,23 @@ class TestPolyCensus:
         lower = [c for c in loose.theory_comparison if c.name == "poly_components_lower"]
         assert lower and "strict" in lower[0].relation
         assert loose.avg_components > lower[0].lower
+
+    @pytest.mark.parametrize("p,n,d", [(3, 1, 2), (2, 2, 3), (5, 1, 4)])
+    def test_tight_at_d_q_minus_1(self, p, n, d):
+        # for q > 2 no polynomial of degree q-1 permutes F_q, so there are
+        # no q-cycles and both lower bounds are met exactly
+        rep = poly_census(make_field(p, n), d)
+        assert not rep.failed
+        lower = [c for c in rep.theory_comparison if c.name.endswith("_lower")]
+        assert len(lower) == 2 and all(c.relation.startswith("== (tight") for c in lower)
+        assert rep.avg_components == lower[0].lower
+
+    @pytest.mark.parametrize("ctx,d", [(F2, 1), (F5, 2)])
+    def test_strict_below_q_minus_1_or_at_q_2(self, ctx, d):
+        rep = poly_census(ctx, d)
+        lower = [c for c in rep.theory_comparison if c.name == "poly_components_lower"]
+        assert lower[0].relation == "> (strict: d < q)" and lower[0].status == "pass"
+        assert not poly_component_bounds(ctx.q, d).lower_is_tight
 
     def test_d0_constant_maps(self):
         rep = poly_census(F3, 0)

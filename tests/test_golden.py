@@ -24,9 +24,9 @@ COMMANDS = {
     "census-poly-f2-d2": (["census", "--p", "2", "--d", "2"], 0),
     "census-poly-f5-d2-csv": (["census", "--p", "5", "--d", "2", "--format", "csv"], 0),
     "census-poly-f3-d0": (["census", "--p", "3", "--d", "0"], 0),
-    "census-poly-f3-d2": (["census", "--p", "3", "--d", "2"], 1),
+    "census-poly-f3-d2": (["census", "--p", "3", "--d", "2"], 0),
     "census-poly-f4-d2": (["census", "--p", "2", "--n", "2", "--d", "2"], 0),
-    "census-poly-f4-d3-csv": (["census", "--p", "2", "--n", "2", "--d", "3", "--format", "csv"], 1),
+    "census-poly-f4-d3-csv": (["census", "--p", "2", "--n", "2", "--d", "3", "--format", "csv"], 0),
     "census-rat-f3-d1": (["census", "--family", "rat", "--p", "3", "--d", "1"], 0),
     "census-rat-f2-d0": (["census", "--family", "rat", "--p", "2", "--d", "0"], 0),
     "census-rat-f4-d1": (["census", "--family", "rat", "--p", "2", "--n", "2", "--d", "1"], 0),
@@ -38,7 +38,7 @@ COMMANDS = {
     ),
     "sampled-poly-f3-d3": (["census", "--p", "3", "--d", "3", "--samples", "30", "--seed", "0"], 0),
     "sampled-rat-f5-d2": (["census", "--family", "rat", "--p", "5", "--d", "2", "--samples", "50", "--seed", "2"], 0),
-    "full-poly-f3-d2": (["census", "--p", "3", "--d", "2", "--full-support"], 1),
+    "full-poly-f3-d2": (["census", "--p", "3", "--d", "2", "--full-support"], 0),
     "full-rat-f2-d0": (["census", "--family", "rat", "--p", "2", "--d", "0", "--full-support"], 0),
     "full-rat-f3-d1-csv": (
         ["census", "--family", "rat", "--p", "3", "--d", "1", "--full-support", "--format", "csv"],
