@@ -63,13 +63,15 @@ def resolve_budget(budget: int | None) -> int:
     return DEFAULT_BUDGET
 
 
-def _check_budget(evaluations: int, budget: int | None, what: str) -> None:
+def _check_budget(
+    evaluations: int, budget: int | None, what: str, advice: str = "use the sampled mode (sampled_census) instead"
+) -> None:
     limit = resolve_budget(budget)
     if evaluations > limit:
         raise BudgetError(
             f"{what} needs {evaluations} map evaluations, over the budget of "
-            f"{limit}; use the sampled mode (sampled_census) instead, or raise "
-            f"the budget via the {BUDGET_ENV_VAR} environment variable"
+            f"{limit}; {advice}, or raise the budget via the {BUDGET_ENV_VAR} "
+            f"environment variable"
         )
 
 
@@ -648,13 +650,15 @@ def sampled_census(
     kmax: int | None = None,
     jobs: int = 1,
     full_support: bool = False,
+    budget: int | None = None,
 ) -> CensusReport:
     """Monte Carlo companion of the exact census; deterministic in
     (seed, samples) and independent of worker count.
 
     With full_support=True the whole enumeration is tallied exactly once
     instead of drawing, so the averages match the exhaustive census
-    exactly; samples is then ignored.
+    exactly; samples is then ignored.  Either way the map evaluations
+    must fit the budget.
     """
     fam = _family(family)
     if d < 0:
@@ -663,8 +667,10 @@ def sampled_census(
         raise ValueError("samples must be >= 1")
     kmax = fam.vertices(ctx) if kmax is None else kmax
     if full_support:
-        tally = _exhaustive_tally(ctx, fam, d, "exactly", kmax, jobs, None, "census")
+        tally = _exhaustive_tally(ctx, fam, d, "exactly", kmax, jobs, budget, "census")
     else:
+        what = f"sampled {fam.name} census of {samples} maps over q={ctx.q}"
+        _check_budget(samples * fam.vertices(ctx), budget, what, "lower the sample count")
         tally = run_blocks(_census_block, (ctx, fam, d, None, kmax, seed), samples, jobs)
     return _build_report(ctx, fam, d, kmax, tally, "sampled", seed=seed, full_support=full_support)
 

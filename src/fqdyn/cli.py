@@ -172,21 +172,16 @@ def _cmd_census(args, jobs: int):
     family = _canon_family(args.family)
     ctx = _field(args)
     if args.samples is not None or args.full_support:
-        draws = args.samples if args.samples is not None else 0
-        if not args.full_support and draws * FAMILIES[family].vertices(ctx) > resolve_budget(args.budget):
-            raise BudgetError(
-                f"sampled census of {draws} maps over q={ctx.q} exceeds the "
-                f"evaluation budget {resolve_budget(args.budget)}; lower --samples"
-            )
         rep = sampled_census(
             ctx,
             args.d,
             family,
-            draws,
+            args.samples or 0,
             args.seed,
             kmax=args.kmax,
             jobs=jobs,
             full_support=args.full_support,
+            budget=args.budget,
         )
     else:
         exhaustive = {"poly": poly_census, "rational": rat_census}[family]

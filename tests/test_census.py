@@ -180,6 +180,14 @@ class TestBudget:
         with pytest.raises(BudgetError, match="FQDYN_BUDGET"):
             poly_census(F5, 2)
 
+    def test_sampled_census_budget(self):
+        # 2,500 evaluations either way: 500 maps of 5 points
+        with pytest.raises(BudgetError, match="sample count"):
+            sampled_census(F5, 3, "poly", 500, seed=0, budget=2499)
+        with pytest.raises(BudgetError, match="sampled mode"):
+            sampled_census(F5, 3, "poly", 0, seed=0, full_support=True, budget=2499)
+        assert sampled_census(F5, 3, "poly", 0, seed=0, full_support=True, budget=2500).map_count == 500
+
     def test_explicit_budget_wins(self, monkeypatch):
         monkeypatch.setenv("FQDYN_BUDGET", "10")
         assert resolve_budget(10**6) == 10**6

@@ -47,6 +47,11 @@ class TestCensusCommand:
         assert code == 2
         assert "budget" in err and "sampled" in err
 
+    def test_full_support_budget_exit(self, capsys):
+        code = cli.run(["census", "--p", "5", "--d", "3", "--full-support", "--budget", "10", "--jobs", "1"])
+        assert code == 2
+        assert "2500 map evaluations" in capsys.readouterr().err
+
     def test_env_budget(self):
         code, out, err = run_cli(
             "census", "--p", "5", "--n", "1", "--d", "2", env_extra={"FQDYN_BUDGET": "100"}
