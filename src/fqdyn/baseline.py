@@ -187,6 +187,7 @@ def exhaustive_random_stats(n: int, jobs: int = 1) -> BaselineReport:
             expected=th.components_exact,
             relation="==",
             status="pass" if avg_c == th.components_exact else "fail",
+            stat="components",
         ),
         TheoryComparison(
             name="random_periodic_exact",
@@ -195,6 +196,7 @@ def exhaustive_random_stats(n: int, jobs: int = 1) -> BaselineReport:
             expected=th.periodic_exact,
             relation="==",
             status="pass" if avg_p == th.periodic_exact else "fail",
+            stat="periodic",
         ),
     )
     return BaselineReport(
@@ -278,6 +280,7 @@ def baseline_census(
                     expected=th_q.avg_periodic,
                     relation="==",
                     status="pass" if avg_p == th_q.avg_periodic else "fail",
+                    stat="periodic",
                 ),
             )
             return BaselineReport(
@@ -305,9 +308,9 @@ def baseline_census(
     se_p = mean_stderr(tally.periodic, tally.periodic_sq, count)
     comparisons = []
     if expected_c is not None:
-        comparisons.append(z_comparison(f"components_z{z_suffix}", None, avg_c, expected_c, se_c))
+        comparisons.append(z_comparison(f"components_z{z_suffix}", None, avg_c, expected_c, se_c, "components"))
     if expected_p is not None:
-        comparisons.append(z_comparison(f"periodic_z{z_suffix}", None, avg_p, expected_p, se_p))
+        comparisons.append(z_comparison(f"periodic_z{z_suffix}", None, avg_p, expected_p, se_p, "periodic"))
     return BaselineReport(
         kind=kind,
         mode="sampled",

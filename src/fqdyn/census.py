@@ -226,7 +226,12 @@ def _sample_rational(ctx: FieldCtx, d: int, rng) -> RationalMap:
 
 @dataclass(frozen=True)
 class TheoryComparison:
-    """One measured statistic against one closed-form value or bound."""
+    """One measured statistic against one closed-form value or bound.
+
+    k is the cycle length of a per-length check; stat names the report
+    average an aggregate check is about ("components" or "periodic"), and
+    stays None for per-length checks and for checks on anything else.
+    """
 
     name: str
     k: int | None
@@ -238,6 +243,7 @@ class TheoryComparison:
     upper: Fraction | None = None
     vacuous: bool = False
     note: str = ""
+    stat: str | None = None
 
     def to_jsonable(self) -> dict:
         out: dict = {
@@ -260,7 +266,7 @@ class TheoryComparison:
 
 
 def z_comparison(
-    name: str, k: int | None, observed: Fraction, expected: Fraction, stderr: float | None
+    name: str, k: int | None, observed: Fraction, expected: Fraction, stderr: float | None, stat: str | None = None
 ) -> TheoryComparison:
     """A sampled mean against its exact expectation: pass when |z| <= 5."""
     if stderr is None or stderr == 0.0:
@@ -273,6 +279,7 @@ def z_comparison(
             expected=expected,
             relation="== (no spread in sample)",
             status="pass" if ok else "fail",
+            stat=stat,
         )
     z = float(observed - expected) / stderr
     return TheoryComparison(
@@ -283,6 +290,7 @@ def z_comparison(
         relation=f"|z| <= 5 (z = {z:+.3f})",
         status="pass" if abs(z) <= 5.0 else "fail",
         note=f"z={z:.6f}",
+        stat=stat,
     )
 
 
@@ -347,7 +355,7 @@ def _equality(
     instead, since a Monte Carlo mean almost never equals its expectation.
     fields carries the relation text and the bound the target stands for."""
     if rep.mode == "sampled" and not rep.full_support:
-        return z_comparison(name, k, observed, target, stderr)
+        return z_comparison(name, k, observed, target, stderr, fields.get("stat"))
     return TheoryComparison(name=name, k=k, observed=observed, status="pass" if observed == target else "fail", **fields)
 
 
@@ -386,7 +394,7 @@ def _poly_comparisons(rep: CensusReport) -> tuple[TheoryComparison, ...]:
     out.append(
         _poly_lower(
             rep, "poly_components_lower", avg_components, b.lower, rep.stderr_components,
-            tight, tight_rel if tight else "> (strict: d < q)", avg_components > b.lower,
+            tight, tight_rel if tight else "> (strict: d < q)", avg_components > b.lower, stat="components",
         )
     )
     out.append(
@@ -397,13 +405,14 @@ def _poly_comparisons(rep: CensusReport) -> tuple[TheoryComparison, ...]:
             upper=b.upper,
             relation="<=",
             status="pass" if avg_components <= b.upper else "fail",
+            stat="components",
         )
     )
     pl = theory.poly_periodic_lower(q, d)
     out.append(
         _poly_lower(
             rep, "poly_periodic_lower", avg_periodic, pl, rep.stderr_periodic,
-            tight, tight_rel if tight else ">=", avg_periodic >= pl, vacuous=pl <= 0,
+            tight, tight_rel if tight else ">=", avg_periodic >= pl, vacuous=pl <= 0, stat="periodic",
         )
     )
     return tuple(out)
@@ -452,6 +461,7 @@ def _rat_comparisons(rep: CensusReport) -> tuple[TheoryComparison, ...]:
             relation=">",
             status="pass" if avg_components > b.lower else "fail",
             vacuous=b.vacuous_lower,
+            stat="components",
         )
     )
     out.append(
@@ -462,6 +472,7 @@ def _rat_comparisons(rep: CensusReport) -> tuple[TheoryComparison, ...]:
             upper=b.upper,
             relation="<=",
             status="pass" if avg_components <= b.upper else "fail",
+            stat="components",
         )
     )
     pl = theory.rat_periodic_lower(q, d)
@@ -474,6 +485,7 @@ def _rat_comparisons(rep: CensusReport) -> tuple[TheoryComparison, ...]:
             relation=">=",
             status="pass" if avg_periodic >= pl else "fail",
             vacuous=pl <= 0,
+            stat="periodic",
         )
     )
     return tuple(out)

@@ -9,7 +9,10 @@ CSV is a flat table for census and baseline reports only.  Averages and
 theory values are exact numerator/denominator pairs, never floats.  The
 `k` column holds the cycle length for per-cycle-length rows and the
 statistic or bound name for aggregate rows.  When a statistic is checked
-against both a lower and an upper bound it gets one row per bound.
+against both a lower and an upper bound it gets one row per bound.  Rows
+follow each comparison's `stat` and `k` fields, so every comparison
+appears in exactly one row; checks on other quantities (such as a graph
+count) come last.
 """
 
 from __future__ import annotations
@@ -77,24 +80,25 @@ def render_csv(report) -> str:
     else:
         family, q, d = report.family, report.q, report.d
         avg_k = report.avg_k_cycles
-    comparisons = list(report.theory_comparison)
+    comparisons = report.theory_comparison
     rows: list[list[str]] = []
 
-    def aggregate_rows(stat: str, observed: Fraction) -> None:
-        matched = [c for c in comparisons if c.k is None and stat in c.name]
+    for stat, observed in (("components", report.avg_components), ("periodic", report.avg_periodic)):
+        matched = [c for c in comparisons if c.stat == stat]
         if not matched:
             rows.append(_row(family, q, d, stat, observed, None, ""))
         for c in matched:
             rows.append(_row(family, q, d, c.name, observed, _theory_value(c), c.status))
-
-    aggregate_rows("components", report.avg_components)
-    aggregate_rows("periodic", report.avg_periodic)
-    for k in sorted(avg_k):
+    for k in sorted(set(avg_k) | {c.k for c in comparisons if c.k is not None}):
         matched = [c for c in comparisons if c.k == k]
+        observed = avg_k.get(k, Fraction(0))
         if not matched:
-            rows.append(_row(family, q, d, k, avg_k[k], None, ""))
+            rows.append(_row(family, q, d, k, observed, None, ""))
         for c in matched:
-            rows.append(_row(family, q, d, k, avg_k[k], _theory_value(c), c.status))
+            rows.append(_row(family, q, d, k, observed, _theory_value(c), c.status))
+    for c in comparisons:  # checks on neither an average nor a cycle length
+        if c.k is None and c.stat is None:
+            rows.append(_row(family, q, d, c.name, c.observed, _theory_value(c), c.status))
 
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")

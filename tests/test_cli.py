@@ -160,6 +160,28 @@ class TestBaselineCommands:
         assert out.startswith("family,q,d,k,")
         assert "baseline:quadratic,6," in out
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["baseline", "quadratic", "--m", "2", "--t", "3"],
+            ["baseline", "quadratic", "--m", "2", "--t", "8", "--samples", "20"],
+            ["baseline", "random", "--size", "4"],
+            ["census", "--family", "rat", "--p", "3", "--d", "1"],
+            ["census", "--p", "5", "--d", "2", "--samples", "5", "--seed", "1"],
+        ],
+    )
+    def test_csv_has_one_row_per_comparison(self, argv, capsys):
+        # rows follow each comparison's fields; a name that mentions
+        # neither average (quadratic_graph_count) used to be dropped
+        assert cli.run([*argv, "--jobs", "1"]) in (0, 1)
+        names = [c["name"] for c in json.loads(capsys.readouterr().out)["report"]["theory_comparison"]]
+        assert cli.run([*argv, "--jobs", "1", "--format", "csv"]) in (0, 1)
+        rows = capsys.readouterr().out.splitlines()[1:]
+        checked = [r.split(",")[3] for r in rows if r.rsplit(",", 1)[1]]
+        assert len(checked) == len(names)
+        if argv[1] == "quadratic" and "--samples" not in argv:
+            assert checked == ["quadratic_periodic_exact", "quadratic_graph_count"]
+
     def test_random_sampled(self):
         code, out, err = run_cli(
             "baseline", "random", "--size", "25", "--samples", "400", "--seed", "3"
