@@ -71,13 +71,20 @@ def _default_jobs() -> int:
     return os.cpu_count() or 1
 
 
+def _worker_count(text: str) -> int:
+    jobs = int(text)
+    if jobs < 1:
+        raise argparse.ArgumentTypeError(f"worker count must be >= 1, got {jobs}")
+    return jobs
+
+
 def _add_field_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--p", type=int, required=True, help="field characteristic (prime)")
     p.add_argument("--n", type=int, default=1, help="extension degree (default 1)")
 
 
 def _add_common_flags(p: argparse.ArgumentParser, fmt: bool = False) -> None:
-    p.add_argument("--jobs", type=int, default=None, help="worker count (default: cpu count)")
+    p.add_argument("--jobs", type=_worker_count, default=None, help="worker count >= 1 (default: cpu count)")
     p.add_argument("--output", type=str, default=None, help="write report to file instead of stdout")
     p.add_argument("--budget", type=int, default=None, help="evaluation budget override")
     if fmt:
@@ -457,7 +464,7 @@ def run(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
-    jobs = args.jobs if getattr(args, "jobs", None) else _default_jobs()
+    jobs = _default_jobs() if getattr(args, "jobs", None) is None else args.jobs
     try:
         if args.command == "census":
             config, rep, has_fail = _cmd_census(args, jobs)

@@ -247,6 +247,13 @@ class TestUsageErrors:
         code, out, err = run_cli("census", "--p", "6", "--n", "1", "--d", "1")
         assert code == 2 and "prime" in err
 
+    @pytest.mark.parametrize("jobs", ["0", "-2", "x"])
+    def test_jobs_below_one_rejected(self, jobs, capsys):
+        # rejected while parsing, before any worker pool could start;
+        # --jobs 0 used to mean "cpu count"
+        assert cli.run(["census", "--p", "2", "--d", "1", "--jobs", jobs]) == 2
+        assert "--jobs" in capsys.readouterr().err
+
     def test_help_exits_zero(self):
         code, out, err = run_cli("--help")
         assert code == 0
