@@ -158,8 +158,10 @@ def rat_count(q: int, d: int, mode: str = "exactly") -> int:
 
 
 def coprime_prob(q: int, d: int) -> Fraction:
-    """Probability that a uniform pair of polynomials of degree <= d
-    (not both zero) is coprime: 1 - 1/q + (q-1)/q^(2d+2)."""
+    """Probability that a uniform pair of polynomials of degree <= d is
+    coprime: 1 - 1/q + (q-1)/q^(2d+2).  The pair ranges over all
+    q^(2d+2) ordered pairs, with (0, 0) counted as not coprime, so
+    coprime_prob(3, 0) == 8/9."""
     if d < 0:
         raise ValueError("degree must be >= 0")
     return 1 - Fraction(1, q) + Fraction(q - 1, q ** (2 * d + 2))
