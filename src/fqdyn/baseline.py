@@ -17,7 +17,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Callable, Iterator
 
-from .census import BudgetError, Tally, TheoryComparison, mean_stderr, run_blocks, z_comparison
+from .census import BudgetError, Tally, TheoryComparison, exact_comparison, mean_stderr, run_blocks, z_comparison
 from .fgraph import FunctionalGraph, cycle_census
 from .reportio import frac_json
 from .seeding import per_index_rng
@@ -164,6 +164,33 @@ def _graph_block(make: Callable, args: tuple, seed: int | None, start: int, stop
     return tally
 
 
+def _baseline_report(kind: str, mode: str, size: int, tally: Tally, checks, **extra) -> BaselineReport:
+    """Averages from the tally, and one comparison per (name, stat,
+    expected) check: exact on an exhaustive tally, a z-check on a sampled
+    one.  stat names the average checked; None checks the graph count."""
+    n = tally.map_count
+    avg = {"components": Fraction(tally.components, n), "periodic": Fraction(tally.periodic, n), None: Fraction(n)}
+    se = {
+        "components": mean_stderr(tally.components, tally.components_sq, n),
+        "periodic": mean_stderr(tally.periodic, tally.periodic_sq, n),
+    }
+    if mode == "sampled":
+        comparisons = [z_comparison(name, None, avg[stat], want, se[stat], stat) for name, stat, want in checks]
+        extra.update(sample_count=n, stderr_components=se["components"], stderr_periodic=se["periodic"])
+    else:
+        comparisons = [exact_comparison(name, None, avg[stat], want, stat) for name, stat, want in checks]
+    return BaselineReport(
+        kind=kind,
+        mode=mode,
+        size=size,
+        graph_count=n,
+        avg_components=avg["components"],
+        avg_periodic=avg["periodic"],
+        theory_comparison=tuple(comparisons),
+        **extra,
+    )
+
+
 def exhaustive_random_stats(n: int, jobs: int = 1) -> BaselineReport:
     """Exact averages over all n^n self-maps; must equal the closed-form
     sums exactly."""
@@ -174,44 +201,14 @@ def exhaustive_random_stats(n: int, jobs: int = 1) -> BaselineReport:
             f"n = {n} exceeds the exhaustive cap {RANDOM_EXHAUSTIVE_MAX_N} "
             f"({n}^{n} maps); use sampling instead"
         )
-    total = n**n
-    tally = run_blocks(_graph_block, (_map_at, (n,), None), total, jobs)
-    avg_c = Fraction(tally.components, total)
-    avg_p = Fraction(tally.periodic, total)
+    tally = run_blocks(_graph_block, (_map_at, (n,), None), n**n, jobs)
     th = random_map_stats(n)
-    comparisons = (
-        TheoryComparison(
-            name="random_components_exact",
-            k=None,
-            observed=avg_c,
-            expected=th.components_exact,
-            relation="==",
-            status="pass" if avg_c == th.components_exact else "fail",
-            stat="components",
-        ),
-        TheoryComparison(
-            name="random_periodic_exact",
-            k=None,
-            observed=avg_p,
-            expected=th.periodic_exact,
-            relation="==",
-            status="pass" if avg_p == th.periodic_exact else "fail",
-            stat="periodic",
-        ),
+    checks = (
+        ("random_components_exact", "components", th.components_exact),
+        ("random_periodic_exact", "periodic", th.periodic_exact),
     )
-    return BaselineReport(
-        kind="random",
-        mode="exhaustive",
-        size=n,
-        graph_count=total,
-        avg_components=avg_c,
-        avg_periodic=avg_p,
-        theory_comparison=comparisons,
-        notes={"asymptotics": {
-            "components": th.components_asymptotic,
-            "periodic": th.periodic_asymptotic,
-        }},
-    )
+    asymptotics = {"components": th.components_asymptotic, "periodic": th.periodic_asymptotic}
+    return _baseline_report("random", "exhaustive", n, tally, checks, notes={"asymptotics": asymptotics})
 
 
 def baseline_census(
@@ -231,97 +228,40 @@ def baseline_census(
     mode checks exact equality with the closed forms; sampled mode
     attaches five-sigma z-score checks instead.
     """
+    if mode != "exhaustive" and samples < 1:
+        raise ValueError("sampled mode needs samples >= 1")
     if kind == "random":
         if n is None or n < 1:
             raise ValueError("random baseline needs n >= 1")
         if mode == "exhaustive":
             return exhaustive_random_stats(n, jobs=jobs)
-        if samples < 1:
-            raise ValueError("sampled mode needs samples >= 1")
-        tally = run_blocks(_graph_block, (_random_map, (n,), seed), samples, jobs)
+        size, make, args, extra = n, _random_map, (n,), {}
         # the exact sums involve integers with about n log10(n) digits, so
         # past a few thousand points compare against the asymptotics
         if n <= RANDOM_EXACT_THEORY_MAX_N:
             th = random_map_stats(n)
-            expected_c, expected_p = th.components_exact, th.periodic_exact
-            z_suffix = ""
+            checks = (("components_z", "components", th.components_exact), ("periodic_z", "periodic", th.periodic_exact))
         else:
-            expected_c = Fraction(random_components_asymptotic(n))
-            expected_p = Fraction(random_periodic_asymptotic(n))
-            z_suffix = "_asymptotic"
-        size = n
-        kind_kwargs: dict = {}
+            checks = (
+                ("components_z_asymptotic", "components", Fraction(random_components_asymptotic(n))),
+                ("periodic_z_asymptotic", "periodic", Fraction(random_periodic_asymptotic(n))),
+            )
     elif kind == "quadratic":
         if m is None or t is None or m < 1 or t < 1:
             raise ValueError("quadratic baseline needs m >= 1 and t >= 1")
         th_q = quad_graph_stats(m, t)
-        size = m * t
-        kind_kwargs = {"m": m, "t": t}
+        size, make, args, extra = m * t, _quadratic_graph, (m, t), {"m": m, "t": t}
         if mode == "exhaustive":
             tally = Tally()
             for g in enumerate_quadratic_graphs(m, t):
                 tally.add(cycle_census(g), 0)
-            count = tally.map_count
-            avg_c = Fraction(tally.components, count)
-            avg_p = Fraction(tally.periodic, count)
-            comparisons = (
-                TheoryComparison(
-                    name="quadratic_graph_count",
-                    k=None,
-                    observed=Fraction(count),
-                    expected=Fraction(th_q.graph_count),
-                    relation="==",
-                    status="pass" if count == th_q.graph_count else "fail",
-                ),
-                TheoryComparison(
-                    name="quadratic_periodic_exact",
-                    k=None,
-                    observed=avg_p,
-                    expected=th_q.avg_periodic,
-                    relation="==",
-                    status="pass" if avg_p == th_q.avg_periodic else "fail",
-                    stat="periodic",
-                ),
+            checks = (
+                ("quadratic_graph_count", None, Fraction(th_q.graph_count)),
+                ("quadratic_periodic_exact", "periodic", th_q.avg_periodic),
             )
-            return BaselineReport(
-                kind="quadratic",
-                mode="exhaustive",
-                size=size,
-                graph_count=count,
-                avg_components=avg_c,
-                avg_periodic=avg_p,
-                theory_comparison=comparisons,
-                **kind_kwargs,
-            )
-        if samples < 1:
-            raise ValueError("sampled mode needs samples >= 1")
-        tally = run_blocks(_graph_block, (_quadratic_graph, (m, t), seed), samples, jobs)
-        expected_c, expected_p = None, th_q.avg_periodic
-        z_suffix = ""
+            return _baseline_report("quadratic", "exhaustive", size, tally, checks, **extra)
+        checks = (("periodic_z", "periodic", th_q.avg_periodic),)
     else:
         raise ValueError(f"unknown baseline kind {kind!r}")
-
-    count = tally.map_count
-    avg_c = Fraction(tally.components, count)
-    avg_p = Fraction(tally.periodic, count)
-    se_c = mean_stderr(tally.components, tally.components_sq, count)
-    se_p = mean_stderr(tally.periodic, tally.periodic_sq, count)
-    comparisons = []
-    if expected_c is not None:
-        comparisons.append(z_comparison(f"components_z{z_suffix}", None, avg_c, expected_c, se_c, "components"))
-    if expected_p is not None:
-        comparisons.append(z_comparison(f"periodic_z{z_suffix}", None, avg_p, expected_p, se_p, "periodic"))
-    return BaselineReport(
-        kind=kind,
-        mode="sampled",
-        size=size,
-        graph_count=count,
-        avg_components=avg_c,
-        avg_periodic=avg_p,
-        theory_comparison=tuple(comparisons),
-        sample_count=count,
-        seed=seed,
-        stderr_components=se_c,
-        stderr_periodic=se_p,
-        **kind_kwargs,
-    )
+    tally = run_blocks(_graph_block, (make, args, seed), samples, jobs)
+    return _baseline_report(kind, "sampled", size, tally, checks, seed=seed, **extra)

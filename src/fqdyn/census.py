@@ -265,22 +265,28 @@ class TheoryComparison:
         return out
 
 
+def exact_comparison(
+    name: str, k: int | None, observed: Fraction, expected: Fraction, stat: str | None = None, relation: str = "=="
+) -> TheoryComparison:
+    """An exact average against its closed-form value."""
+    return TheoryComparison(
+        name=name,
+        k=k,
+        observed=observed,
+        expected=expected,
+        relation=relation,
+        status="pass" if observed == expected else "fail",
+        stat=stat,
+    )
+
+
 def z_comparison(
     name: str, k: int | None, observed: Fraction, expected: Fraction, stderr: float | None, stat: str | None = None
 ) -> TheoryComparison:
     """A sampled mean against its exact expectation: pass when |z| <= 5."""
     if stderr is None or stderr == 0.0:
         # degenerate sample; fall back to an exact comparison
-        ok = observed == expected
-        return TheoryComparison(
-            name=name,
-            k=k,
-            observed=observed,
-            expected=expected,
-            relation="== (no spread in sample)",
-            status="pass" if ok else "fail",
-            stat=stat,
-        )
+        return exact_comparison(name, k, observed, expected, stat, "== (no spread in sample)")
     z = float(observed - expected) / stderr
     return TheoryComparison(
         name=name,
@@ -348,32 +354,22 @@ class CensusReport:
 # --- comparison builders -------------------------------------------------------
 
 
-def _equality(
-    rep: CensusReport, name: str, k: int | None, observed: Fraction, target: Fraction, stderr: float | None, **fields
-) -> TheoryComparison:
-    """observed == target on exact averages; drawn samples get a z-check
-    instead, since a Monte Carlo mean almost never equals its expectation.
-    fields carries the relation text and the bound the target stands for."""
-    if rep.mode == "sampled" and not rep.full_support:
-        return z_comparison(name, k, observed, target, stderr, fields.get("stat"))
-    return TheoryComparison(name=name, k=k, observed=observed, status="pass" if observed == target else "fail", **fields)
-
-
 def _poly_lower(
-    rep: CensusReport, name: str, observed: Fraction, lower: Fraction, stderr: float | None,
+    drawn: bool, name: str, stat: str, observed: Fraction, lower: Fraction, stderr: float | None,
     tight: bool, relation: str, holds: bool, **flags,
 ) -> TheoryComparison:
-    """A lower-bound row: an equality where the bound is tight, else a
-    bound that holds or not."""
-    if tight:
-        return _equality(rep, name, None, observed, lower, stderr, relation=relation, lower=lower, **flags)
+    """A lower-bound row: an equality where the bound is tight (a z-check
+    on drawn samples), else a bound that holds or not."""
+    if tight and drawn:
+        return z_comparison(name, None, observed, lower, stderr, stat)
     return TheoryComparison(
         name=name,
         k=None,
         observed=observed,
         lower=lower,
         relation=relation,
-        status="pass" if holds else "fail",
+        status="pass" if (observed == lower if tight else holds) else "fail",
+        stat=stat,
         **flags,
     )
 
@@ -381,20 +377,25 @@ def _poly_lower(
 def _poly_comparisons(rep: CensusReport) -> tuple[TheoryComparison, ...]:
     q, d, kmax = rep.q, rep.d, rep.kmax
     avg_components, avg_periodic = rep.avg_components, rep.avg_periodic
+    # a drawn sample's mean almost never equals its expectation, so its
+    # equalities are z-checks; full-support averages are exact
+    drawn = rep.mode == "sampled" and not rep.full_support
     out: list[TheoryComparison] = []
     top = min(d, kmax) if d >= 1 else min(1, kmax)
     for k in range(1, top + 1):
         expected = theory.poly_avg_k(q, d, k)
         obs = rep.avg_k_cycles.get(k, Fraction(0))
-        se = (rep.stderr_k_cycles or {}).get(k)
-        out.append(_equality(rep, "poly_avg_k_exact", k, obs, expected, se, relation="==", expected=expected))
+        if drawn:
+            out.append(z_comparison("poly_avg_k_exact", k, obs, expected, (rep.stderr_k_cycles or {}).get(k)))
+        else:
+            out.append(exact_comparison("poly_avg_k_exact", k, obs, expected))
     b = theory.poly_component_bounds(q, d)
     tight = b.lower_is_tight
     tight_rel = "== (tight: d >= q)" if d >= q else "== (tight: d = q-1, q > 2)"
     out.append(
         _poly_lower(
-            rep, "poly_components_lower", avg_components, b.lower, rep.stderr_components,
-            tight, tight_rel if tight else "> (strict: d < q)", avg_components > b.lower, stat="components",
+            drawn, "poly_components_lower", "components", avg_components, b.lower, rep.stderr_components,
+            tight, tight_rel if tight else "> (strict: d < q)", avg_components > b.lower,
         )
     )
     out.append(
@@ -411,8 +412,8 @@ def _poly_comparisons(rep: CensusReport) -> tuple[TheoryComparison, ...]:
     pl = theory.poly_periodic_lower(q, d)
     out.append(
         _poly_lower(
-            rep, "poly_periodic_lower", avg_periodic, pl, rep.stderr_periodic,
-            tight, tight_rel if tight else ">=", avg_periodic >= pl, vacuous=pl <= 0, stat="periodic",
+            drawn, "poly_periodic_lower", "periodic", avg_periodic, pl, rep.stderr_periodic,
+            tight, tight_rel if tight else ">=", avg_periodic >= pl, vacuous=pl <= 0,
         )
     )
     return tuple(out)
@@ -518,17 +519,24 @@ class Family:
 
 
 POLY = Family(
-    "poly", 0, _poly_count, _poly_count, _poly_decode, _sample_poly, eval_poly, _poly_comparisons
+    name="poly",
+    points_at_infinity=0,
+    index_count=_poly_count,
+    map_count=_poly_count,
+    decode=_poly_decode,
+    sample=_sample_poly,
+    evaluate=eval_poly,
+    comparisons=_poly_comparisons,
 )
 RATIONAL = Family(
-    "rational",
-    1,
-    _rational_index_count,
-    _rational_map_count,
-    _rational_decode,
-    _sample_rational,
-    eval_rational,
-    _rat_comparisons,
+    name="rational",
+    points_at_infinity=1,
+    index_count=_rational_index_count,
+    map_count=_rational_map_count,
+    decode=_rational_decode,
+    sample=_sample_rational,
+    evaluate=eval_rational,
+    comparisons=_rat_comparisons,
 )
 FAMILIES = {f.name: f for f in (POLY, RATIONAL)}
 
