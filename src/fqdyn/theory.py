@@ -108,8 +108,8 @@ def poly_component_bounds(q: int, d: int) -> BoundSet:
 
     Lower: sum of falling(q,k)/(k q^k) for k = 1..min(d,q), exact when
     d >= q, and at d = q-1 when q > 2, where no polynomial permutes F_q
-    (so none has a q-cycle).  Upper: harmonic(d+1) + q/(d+2) for d < q-1, harmonic(q)
-    otherwise.  A logarithmic float minorant log(min(d, isqrt(q))+1) - 1/4
+    (so none has a q-cycle).  Upper: harmonic(d+1) + q/(d+2) for
+    d < q-1, harmonic(q) otherwise.  A logarithmic float minorant log(min(d, isqrt(q))+1) - 1/4
     rides along as a diagnostic.
     """
     m = min(d, q)

@@ -9,7 +9,6 @@ reason goes into CHANGES.md.  To rewrite the files from the current code:
 
 from __future__ import annotations
 
-import sys
 from pathlib import Path
 
 import pytest
@@ -102,4 +101,3 @@ if __name__ == "__main__":
             code, text = run_command(name, 1, Path(tmp) / "out")
             golden_path(name).write_text(text, encoding="utf-8")
             print(f"{name}: exit {code}{'' if code == expected else f' (table says {expected})'}")
-    sys.exit(0)
