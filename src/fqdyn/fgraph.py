@@ -1,11 +1,10 @@
 """Functional graphs of self-maps and their cycle statistics.
 
 A functional graph has one outgoing edge per vertex, so every weakly
-connected component contains exactly one cycle.  The census below finds
-all cycles in a single O(size) pass with three vertex states, then
-recounts components by union-find as an independent cross-check; the two
-totals must agree on every input, and a mismatch is reported as a bug
-rather than returned as data.
+connected component contains exactly one cycle: the component count is
+the cycle count, and the periodic points are the vertices on cycles.
+The census below therefore needs only the cycles, which it finds in a
+single O(size) walk over the vertices.
 """
 
 from __future__ import annotations
@@ -25,9 +24,6 @@ class FunctionalGraph:
     size: int
     succ: tuple[int, ...]
 
-    def to_jsonable(self) -> list[int]:
-        return list(self.succ)
-
 
 @dataclass(frozen=True)
 class CycleStats:
@@ -35,16 +31,6 @@ class CycleStats:
     cycle_lengths: tuple[int, ...]  # sorted ascending
     periodic_count: int
     k_cycle_counts: dict[int, int]
-    max_tail: int
-
-    def to_jsonable(self) -> dict:
-        return {
-            "components": self.component_count,
-            "cycle_lengths": list(self.cycle_lengths),
-            "periodic": self.periodic_count,
-            "k_cycles": {str(k): v for k, v in sorted(self.k_cycle_counts.items())},
-            "max_tail": self.max_tail,
-        }
 
 
 def build_graph(ctx: FieldCtx, m: Poly | RationalMap) -> FunctionalGraph:
@@ -70,108 +56,37 @@ def graph_from_succ(succ: Sequence[int]) -> FunctionalGraph:
     return FunctionalGraph(size, succ)
 
 
-_UNSEEN, _ON_PATH, _DONE = 0, 1, 2
-
-
-def _scan_cycles(succ: Sequence[int], size: int) -> tuple[list[int], list[bool]]:
-    """One pass, three vertex states: cycle lengths plus periodic marks."""
-    state = bytearray(size)
-    pos = [0] * size
-    lengths: list[int] = []
-    periodic = [False] * size
-    for s in range(size):
-        if state[s] != _UNSEEN:
-            continue
-        path: list[int] = []
-        v = s
-        while state[v] == _UNSEEN:
-            state[v] = _ON_PATH
-            pos[v] = len(path)
-            path.append(v)
-            v = succ[v]
-        if state[v] == _ON_PATH:
-            lengths.append(len(path) - pos[v])
-            for u in path[pos[v]:]:
-                periodic[u] = True
-        for u in path:
-            state[u] = _DONE
-    return lengths, periodic
-
-
-def _count_components(succ: Sequence[int], size: int) -> int:
-    """Union-find over the edges v -- succ[v], path halving."""
-    parent = list(range(size))
-
-    def find(v: int) -> int:
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    count = size
-    for v in range(size):
-        a, b = find(v), find(succ[v])
-        if a != b:
-            parent[a] = b
-            count -= 1
-    return count
-
-
-def _tail_depths(succ: Sequence[int], size: int, periodic: Sequence[bool]) -> int:
-    """Longest distance from any vertex to its first periodic vertex."""
-    depth = [0 if periodic[v] else -1 for v in range(size)]
-    best = 0
-    for s in range(size):
-        if depth[s] >= 0:
-            continue
-        chain: list[int] = []
-        v = s
-        while depth[v] < 0:
-            chain.append(v)
-            v = succ[v]
-        d = depth[v]
-        for u in reversed(chain):
-            d += 1
-            depth[u] = d
-        if depth[s] > best:
-            best = depth[s]
-    return best
-
-
 def cycle_census(g: FunctionalGraph) -> CycleStats:
-    succ, size = g.succ, g.size
-    raw_lengths, periodic = _scan_cycles(succ, size)
-    lengths = sorted(raw_lengths)
-    components = _count_components(succ, size)
-    if components != len(lengths):
-        raise AssertionError(
-            f"component count {components} != cycle count {len(lengths)}; "
-            "this is a bug, not valid data"
-        )
-    periodic_count = sum(lengths)
+    """Cycle statistics in one walk over the vertices.
 
+    Each walk marks the vertices it visits with its start (s + 1).  A walk
+    that reaches its own mark has closed a new cycle, whose length is
+    counted by going once around it; a walk that reaches an older mark has
+    joined a component already counted.
+    """
+    succ = g.succ
+    mark = [0] * g.size
+    lengths: list[int] = []
+    for s in range(g.size):
+        if mark[s]:
+            continue
+        tag = s + 1
+        v = s
+        while not mark[v]:
+            mark[v] = tag
+            v = succ[v]
+        if mark[v] == tag:
+            length, u = 1, succ[v]
+            while u != v:
+                length, u = length + 1, succ[u]
+            lengths.append(length)
+    lengths.sort()
     return CycleStats(
-        component_count=components,
+        component_count=len(lengths),
         cycle_lengths=tuple(lengths),
-        periodic_count=periodic_count,
+        periodic_count=sum(lengths),
         k_cycle_counts=dict(Counter(lengths)),
-        max_tail=_tail_depths(succ, size, periodic),
     )
-
-
-def rho_length(g: FunctionalGraph, start: int) -> tuple[int, int]:
-    """(tail, cycle) for the walk from start; their sum is the number of
-    distinct vertices visited."""
-    if not 0 <= start < g.size:
-        raise ValueError(f"start {start} out of range")
-    first_seen: dict[int, int] = {}
-    v = start
-    t = 0
-    while v not in first_seen:
-        first_seen[v] = t
-        v = g.succ[v]
-        t += 1
-    return first_seen[v], t - first_seen[v]
 
 
 def brent_rho(f: Callable[[T], T], start: T) -> tuple[int, int]:

@@ -3,13 +3,14 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fqdyn.ffield import make_field
-from fqdyn.fgraph import brent_rho, build_graph, cycle_census, graph_from_succ, rho_length
+from fqdyn.fgraph import brent_rho, build_graph, cycle_census, graph_from_succ
 from fqdyn.fmaps import CONSTANT_INFINITY, canonicalize_rational, enumerate_polys, enumerate_rationals
 
 from oracles import oracle_components, oracle_cycle_lengths, oracle_periodic_points, oracle_rho
@@ -39,13 +40,11 @@ def test_cycle_census_examples():
     assert st_.cycle_lengths == (1, 1)
     assert st_.periodic_count == 2
     assert st_.k_cycle_counts == {1: 2}
-    assert st_.max_tail == 2  # 3 -> 4 -> 1
 
     st_ = cycle_census(build_graph(F3, (1, 1)))  # x + 1, one 3-cycle
     assert st_.component_count == 1
     assert st_.cycle_lengths == (3,)
     assert st_.periodic_count == 3
-    assert st_.max_tail == 0
 
     st_ = cycle_census(build_graph(F5, (2,)))  # constant
     assert st_.component_count == 1
@@ -54,16 +53,13 @@ def test_cycle_census_examples():
 
 
 def test_rho_length_examples():
-    g = build_graph(F5, (0, 0, 1))
-    # start 3: 3 -> 4 -> 1 -> 1 gives tail 2, cycle 1 (confirmed by the
-    # brute-force walker, which is the oracle for this value)
-    assert rho_length(g, 3) == (2, 1)
-    assert rho_length(g, 0) == (0, 1)  # already periodic
-    gc = build_graph(F5, (2,))
-    assert rho_length(gc, 0) == (1, 1)
-    assert rho_length(gc, 2) == (0, 1)
-    with pytest.raises(ValueError):
-        rho_length(g, 5)
+    sq = build_graph(F5, (0, 0, 1)).succ
+    const = build_graph(F5, (2,)).succ
+    # (succ, start, (tail, cycle)): 3 -> 4 -> 1 -> 1 gives tail 2, cycle 1
+    cases = [(sq, 3, (2, 1)), (sq, 0, (0, 1)), (const, 0, (1, 1)), (const, 2, (0, 1))]
+    for succ, start, expected in cases:
+        assert oracle_rho(list(succ), start) == expected
+        assert brent_rho(lambda v: succ[v], start) == expected
 
 
 def test_stats_internal_invariants_exhaustive_small():
@@ -103,19 +99,7 @@ def test_census_matches_oracles_random_graphs():
         assert s.periodic_count == len(periodic)
         assert s.k_cycle_counts == oracle_cycle_lengths(succ)
         start = rng.randrange(size)
-        assert rho_length(g, start) == oracle_rho(succ, start)
-        tail, cyc = rho_length(g, start)
-        assert brent_rho(lambda v: succ[v], start) == (tail, cyc)
-
-
-def test_max_tail_via_rho():
-    rng = random.Random(99)
-    for _ in range(50):
-        size = rng.randrange(1, 40)
-        succ = [rng.randrange(size) for _ in range(size)]
-        g = graph_from_succ(succ)
-        s = cycle_census(g)
-        assert s.max_tail == max(rho_length(g, v)[0] for v in range(size))
+        assert brent_rho(lambda v: succ[v], start) == oracle_rho(succ, start)
 
 
 def test_permutation_graphs_fully_periodic():
@@ -126,7 +110,6 @@ def test_permutation_graphs_fully_periodic():
         rng.shuffle(perm)
         s = cycle_census(graph_from_succ(perm))
         assert s.periodic_count == size
-        assert s.max_tail == 0
 
 
 @settings(max_examples=80, deadline=None)
@@ -135,8 +118,7 @@ def test_rho_tail_plus_cycle_is_distinct_visits(raw: list[int], data):
     size = len(raw)
     succ = [v % size for v in raw]
     start = data.draw(st.integers(0, size - 1))
-    g = graph_from_succ(succ)
-    tail, cyc = rho_length(g, start)
+    tail, cyc = brent_rho(lambda v: succ[v], start)
     seen = set()
     v = start
     while v not in seen:
@@ -146,15 +128,27 @@ def test_rho_tail_plus_cycle_is_distinct_visits(raw: list[int], data):
     assert (tail, cyc) == oracle_rho(succ, start)
 
 
-def test_serialization():
-    g = build_graph(F3, (1, 1))
-    assert g.to_jsonable() == [1, 2, 0]
-    s = cycle_census(g)
-    js = s.to_jsonable()
-    assert js == {
-        "components": 1,
-        "cycle_lengths": [3],
-        "periodic": 3,
-        "k_cycles": {"3": 1},
-        "max_tail": 0,
-    }
+@st.composite
+def successor_tables(draw) -> list[int]:
+    """Any self-map of 1..64 points, with permutations and constant maps
+    drawn on purpose since they are the edge cases of the cycle walk."""
+    size = draw(st.integers(1, 64))
+    kind = draw(st.sampled_from(("any", "permutation", "constant")))
+    if kind == "permutation":
+        return draw(st.permutations(range(size)))
+    if kind == "constant":
+        return [draw(st.integers(0, size - 1))] * size
+    return draw(st.lists(st.integers(0, size - 1), min_size=size, max_size=size))
+
+
+@settings(max_examples=300, deadline=None)
+@given(successor_tables())
+def test_census_agrees_with_oracles_on_drawn_tables(succ: list[int]):
+    # components equal cycles in a functional graph; the census counts
+    # cycles only, so the BFS component oracle is the independent check
+    s = cycle_census(graph_from_succ(succ))
+    assert s.component_count == oracle_components(succ)
+    assert s.periodic_count == len(oracle_periodic_points(succ))
+    lengths = oracle_cycle_lengths(succ)
+    assert s.k_cycle_counts == lengths
+    assert s.cycle_lengths == tuple(sorted(Counter(lengths).elements()))
