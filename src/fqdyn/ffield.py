@@ -126,10 +126,6 @@ class FieldCtx:
         return {"p": self.p, "n": self.n, "modulus": list(self.modulus)}
 
 
-def enumerate_elements(ctx: FieldCtx) -> range:
-    return ctx.elements()
-
-
 # Digit-vector arithmetic over GF(p), used for construction and as the
 # reference path the tables are built from.
 
