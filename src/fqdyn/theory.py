@@ -289,18 +289,23 @@ def random_map_stats(n: int) -> RandomMapStats:
     components = sum falling(n,k)/(k n^k); periodic = sum falling(n,k)/n^k;
     asymptotically (log n)/2 + (log 2 + gamma)/2 and sqrt(pi n / 2).
 
-    The exact sums involve integers with about n log10(n) digits, so
-    this is meant for n up to a few thousand; for larger n use the
-    asymptotic helpers directly.
+    The sums run over integer terms f_k = falling(n,k) n^(n-k), so
+    f_(k+1) = f_k (n-k) / n exactly: periodic = (sum f_k) / n^n and
+    components = (sum f_k L/k) / (L n^n) with L = lcm(1..n).  The
+    integers have about n log10(n) digits, so this is meant for n up to
+    a few thousand; for larger n use the asymptotic helpers directly.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    comps = Fraction(0)
-    peri = Fraction(0)
+    nn = n**n
+    lcm = math.lcm(*range(1, n + 1))
+    f = nn  # f_1
+    peri = comps = 0
     for k in range(1, n + 1):
-        term = Fraction(falling(n, k), n**k)
-        peri += term
-        comps += term / k
+        peri += f
+        comps += f * (lcm // k)
+        f = f // n * (n - k)
+    comps, peri = Fraction(comps, lcm * nn), Fraction(peri, nn)
     return RandomMapStats(
         components_exact=comps,
         components_asymptotic=random_components_asymptotic(n),

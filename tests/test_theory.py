@@ -27,6 +27,8 @@ from fqdyn.theory import (
     rat_periodic_minorant,
 )
 
+from oracles import harmonic_like_sum
+
 
 class TestBasics:
     def test_falling(self):
@@ -159,6 +161,12 @@ class TestBaselineForms:
         four = random_map_stats(4)
         assert four.components_exact == Fraction(195, 128)
         assert four.periodic_exact == Fraction(71, 32)
+
+    @pytest.mark.parametrize("n", [*range(1, 41), 300])
+    def test_random_map_stats_match_term_by_term_sums(self, n):
+        st = random_map_stats(n)
+        assert st.components_exact == harmonic_like_sum(n, weight_extra_n=False)
+        assert st.periodic_exact == harmonic_like_sum(n, weight_extra_n=True)
 
     def test_random_map_asymptotics(self):
         # exact sums get expensive fast (denominators near n^n), so probe
