@@ -422,36 +422,36 @@ def _poly_comparisons(rep: CensusReport) -> tuple[TheoryComparison, ...]:
 def _rat_comparisons(rep: CensusReport) -> tuple[TheoryComparison, ...]:
     q, d, kmax = rep.q, rep.d, rep.kmax
     avg_components, avg_periodic = rep.avg_components, rep.avg_periodic
+    drawn = rep.mode == "sampled" and not rep.full_support
     out: list[TheoryComparison] = []
     for k in range(1, min(d + 1, kmax) + 1):
         b = theory.rat_avg_k_bounds(q, d, k)
         obs = rep.avg_k_cycles.get(k, Fraction(0))
-        if k <= d:
-            ok = b.lower < obs < b.upper
-            rel = "strictly between"
-            out.append(
-                TheoryComparison(
-                    name="rat_avg_k_bounds",
-                    k=k,
-                    observed=obs,
-                    lower=b.lower,
-                    upper=b.upper,
-                    relation=rel,
-                    status="pass" if ok else "fail",
-                    vacuous=b.vacuous_lower,
-                )
+        lower = b.lower if k <= d else None  # upper only at k = d+1
+        rel = "strictly between" if lower is not None else "< (upper only at k = d+1)"
+        ok = obs < b.upper and (lower is None or lower < obs)
+        stderr = (rep.stderr_k_cycles or {}).get(k) if drawn else None
+        if stderr:
+            # a drawn mean may sit past a bound by sampling error alone;
+            # allow the |z| <= 5 of z_comparison on either side
+            zs = {"z_upper": float(obs - b.upper) / stderr}
+            if lower is not None:
+                zs = {"z_lower": float(obs - lower) / stderr, **zs}
+            ok = zs["z_upper"] <= 5.0 and zs.get("z_lower", 0.0) >= -5.0
+            shown = ", ".join(f"{name} = {z:+.3f}" for name, z in zs.items())
+            rel += f"; drawn sample: within 5 standard errors ({shown})"
+        out.append(
+            TheoryComparison(
+                name="rat_avg_k_bounds" if lower is not None else "rat_avg_k_upper",
+                k=k,
+                observed=obs,
+                lower=lower,
+                upper=b.upper,
+                relation=rel,
+                status="pass" if ok else "fail",
+                vacuous=lower is not None and b.vacuous_lower,
             )
-        else:
-            out.append(
-                TheoryComparison(
-                    name="rat_avg_k_upper",
-                    k=k,
-                    observed=obs,
-                    upper=b.upper,
-                    relation="< (upper only at k = d+1)",
-                    status="pass" if obs < b.upper else "fail",
-                )
-            )
+        )
     b = theory.rat_component_bounds(q, d)
     out.append(
         TheoryComparison(

@@ -162,6 +162,19 @@ class TestSampledCensus:
         swept = sampled_census(F3, 1, "rational", 0, seed=0, full_support=True)
         assert swept.avg_components == exact.avg_components
         assert swept.avg_k_cycles == exact.avg_k_cycles
+        # full-support averages are exact, so their bounds stay strict
+        assert [c.relation for c in swept.theory_comparison] == [c.relation for c in exact.theory_comparison]
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_sampled_rational_bounds_allow_sampling_error(self, seed):
+        # the rat_avg_k upper bound sits only a factor 1 + 2/q^2 above the
+        # centre, so a drawn mean crosses it about half the time; each of
+        # these seeds failed 1-3 rows under the strict check
+        rep = sampled_census(make_field(101), 2, "rational", 200, seed)
+        assert rep.failed == []
+        per_length = [c for c in rep.theory_comparison if c.k is not None]
+        assert [c.k for c in per_length] == [1, 2, 3]
+        assert all("within 5 standard errors" in c.relation for c in per_length)
 
     def test_stderr_present(self):
         rep = sampled_census(F5, 2, "poly", 50, seed=0)
