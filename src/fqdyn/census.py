@@ -875,12 +875,16 @@ def _rho_block(ctx: FieldCtx, family: Family, d: int, seed: int, start: int, sto
 
 
 def rho_experiment(
-    ctx: FieldCtx, d: int, family: str, samples: int, seed: int, jobs: int = 1
+    ctx: FieldCtx, d: int, family: str, samples: int, seed: int, jobs: int = 1, budget: int | None = None
 ) -> RhoSummary:
     """Sampled tail/cycle lengths via Brent iteration, no graphs built."""
+    fam = _family(family)
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    walks = run_blocks(_rho_block, (ctx, _family(family), d, seed), samples, jobs)
+    # a walk never visits more than the whole space, so budget on that
+    what = f"rho experiment of {samples} walks over {fam.vertices(ctx)} points"
+    _check_budget(samples * fam.vertices(ctx), budget, what, "lower the sample count")
+    walks = run_blocks(_rho_block, (ctx, fam, d, seed), samples, jobs)
     tail = sum(t * n for (t, _), n in walks.items())
     cyc = sum(c * n for (_, c), n in walks.items())
     hist: Counter = Counter()

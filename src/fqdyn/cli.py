@@ -28,7 +28,6 @@ import sys
 from pathlib import Path
 
 from .census import (
-    FAMILIES,
     BudgetError,
     enumerate_S,
     poly_census,
@@ -40,6 +39,7 @@ from .census import (
     rho_experiment,
     sampled_census,
     solution_count_case,
+    _check_budget,
     _rational_raw_count,
 )
 from .baseline import baseline_census
@@ -245,12 +245,8 @@ def _cmd_verify_rat_count(args, jobs: int):
     ctx = _field(args)
     checks = []
     for d in range(args.dmax + 1):
-        raw = _rational_raw_count(ctx, d)
-        if raw > resolve_budget(args.budget):
-            raise BudgetError(
-                f"rational count at q={ctx.q} d={d} walks {raw} raw pairs, over "
-                f"the budget {resolve_budget(args.budget)}; lower --dmax"
-            )
+        # every raw pair is decoded and gcd-tested, so each counts as one evaluation
+        _check_budget(_rational_raw_count(ctx, d), args.budget, f"rational count at q={ctx.q} d={d}", "lower --dmax")
         for mode in ("at_most", "exactly"):
             observed = sum(1 for _ in enumerate_rationals(ctx, d, mode))
             expected = rat_count(ctx.q, d, mode)
@@ -421,14 +417,7 @@ def _cmd_theory(args):
 def _cmd_rho(args, jobs: int):
     ctx = _field(args)
     family = _canon_family(args.family)
-    size = FAMILIES[family].vertices(ctx)
-    # generous bound: a walk never exceeds the space, so budget on the worst case
-    if args.samples * size > resolve_budget(args.budget):
-        raise BudgetError(
-            f"rho experiment worst case {args.samples}*{size} evaluations is over "
-            f"the budget {resolve_budget(args.budget)}; lower --samples"
-        )
-    summary = rho_experiment(ctx, args.d, family, args.samples, args.seed, jobs=jobs)
+    summary = rho_experiment(ctx, args.d, family, args.samples, args.seed, jobs=jobs, budget=args.budget)
     mean = float(summary.mean_rho)
     low, high = 0.5 * math.sqrt(ctx.q), 3.0 * math.sqrt(ctx.q)
     in_band = low <= mean <= high

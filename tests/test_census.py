@@ -201,6 +201,12 @@ class TestBudget:
             sampled_census(F5, 3, "poly", 0, seed=0, full_support=True, budget=2499)
         assert sampled_census(F5, 3, "poly", 0, seed=0, full_support=True, budget=2500).map_count == 500
 
+    def test_rho_experiment_budget(self):
+        # 10 walks over 5 points can cost up to 50 evaluations
+        with pytest.raises(BudgetError, match="sample count"):
+            rho_experiment(F5, 2, "poly", 10, seed=0, budget=10)
+        assert rho_experiment(F5, 2, "poly", 10, seed=0, budget=50).samples == 10
+
     def test_explicit_budget_wins(self, monkeypatch):
         monkeypatch.setenv("FQDYN_BUDGET", "10")
         assert resolve_budget(10**6) == 10**6

@@ -126,6 +126,12 @@ class TestVerifyCommands:
         assert code == 0, err
         assert json.loads(out)["report"]["all_pass"] is True
 
+    def test_rat_count_budget_exit(self, capsys):
+        # d = 1 over GF(3) walks 36 raw pairs
+        code = cli.run(["verify", "rat-count", "--p", "3", "--dmax", "2", "--budget", "10", "--jobs", "1"])
+        assert code == 2
+        assert "36 map evaluations" in capsys.readouterr().err
+
     def test_prov(self):
         code, out, err = run_cli("verify", "prov", "--p", "5", "--n", "1", "--instances", "30")
         assert code == 0, err
@@ -215,6 +221,12 @@ class TestRhoCommand:
         band = json.loads(out)["report"]["band"]
         assert band["gating"] is False
         assert band["status"] in ("pass", "miss")
+
+    def test_budget_exit(self, capsys):
+        # 10 walks over 101 points can cost up to 1010 evaluations
+        code = cli.run(["rho", "--p", "101", "--d", "2", "--samples", "10", "--budget", "100", "--jobs", "1"])
+        assert code == 2
+        assert "1010 map evaluations" in capsys.readouterr().err
 
     def test_strict_flag_gatekeeping(self, monkeypatch, capsys):
         # exit 1 must track a "fail" status, which needs a band miss; fake
