@@ -12,7 +12,8 @@ Subcommands:
   rho                iteration tail+cycle length experiment
 
 Exit codes: 0 success, 1 when any theory comparison in the emitted
-report has status "fail", 2 on usage, precondition, or budget errors.
+report has status "fail", 2 on usage, precondition, or budget errors,
+3 on an internal error: a broken invariant, which is a bug in fqdyn.
 
 JSON output echoes the run configuration; worker count, format, and
 output path are excluded from the echo so reports are byte-identical
@@ -477,6 +478,9 @@ def run(argv: list[str] | None = None) -> int:
     except (ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except AssertionError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
 
     if getattr(args, "format", "json") == "csv":
         text = render_csv(rep)

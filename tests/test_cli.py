@@ -266,6 +266,17 @@ class TestUsageErrors:
         assert cli.run(["census", "--p", "2", "--d", "1", "--jobs", jobs]) == 2
         assert "--jobs" in capsys.readouterr().err
 
+    def test_internal_error_exit(self, monkeypatch, capsys):
+        # a broken invariant is a bug, told apart from a failed comparison (1)
+        def broken(*args, **kwargs):
+            raise AssertionError("enumerated 3 maps, closed form says 4; this is a bug")
+
+        monkeypatch.setattr(cli, "poly_census", broken)
+        assert cli.run(["census", "--p", "2", "--d", "1", "--jobs", "1"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "internal error: enumerated 3 maps, closed form says 4; this is a bug\n"
+
     def test_help_exits_zero(self):
         code, out, err = run_cli("--help")
         assert code == 0
