@@ -427,18 +427,20 @@ def _rat_comparisons(rep: CensusReport) -> tuple[TheoryComparison, ...]:
     for k in range(1, min(d + 1, kmax) + 1):
         b = theory.rat_avg_k_bounds(q, d, k)
         obs = rep.avg_k_cycles.get(k, Fraction(0))
-        lower = b.lower if k <= d else None  # upper only at k = d+1
+        lower = b.lower if k <= d else None
         rel = "strictly between" if lower is not None else "< (upper only at k = d+1)"
         ok = obs < b.upper and (lower is None or lower < obs)
         stderr = (rep.stderr_k_cycles or {}).get(k) if drawn else None
         if stderr:
             # a drawn mean may sit past a bound by sampling error alone;
             # allow the |z| <= 5 of z_comparison on either side
-            zs = {"z_upper": float(obs - b.upper) / stderr}
+            z_upper = float(obs - b.upper) / stderr
+            ok = z_upper <= 5.0
+            shown = f"z_upper = {z_upper:+.3f}"
             if lower is not None:
-                zs = {"z_lower": float(obs - lower) / stderr, **zs}
-            ok = zs["z_upper"] <= 5.0 and zs.get("z_lower", 0.0) >= -5.0
-            shown = ", ".join(f"{name} = {z:+.3f}" for name, z in zs.items())
+                z_lower = float(obs - lower) / stderr
+                ok = ok and z_lower >= -5.0
+                shown = f"z_lower = {z_lower:+.3f}, {shown}"
             rel += f"; drawn sample: within 5 standard errors ({shown})"
         out.append(
             TheoryComparison(
