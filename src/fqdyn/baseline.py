@@ -17,7 +17,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Callable, Iterator
 
-from .census import BudgetError, Tally, TheoryComparison, exact_comparison, mean_stderr, run_blocks, z_comparison
+from .census import BudgetError, Tally, TheoryComparison, _check_budget, compare, mean_stderr, run_blocks
 from .fgraph import FunctionalGraph, cycle_census
 from .reportio import frac_json
 from .seeding import per_index_rng
@@ -165,20 +165,15 @@ def _graph_block(make: Callable, args: tuple, seed: int | None, start: int, stop
 
 
 def _baseline_report(kind: str, mode: str, size: int, tally: Tally, checks, **extra) -> BaselineReport:
-    """Averages from the tally, and one comparison per (name, stat,
-    expected) check: exact on an exhaustive tally, a z-check on a sampled
-    one.  stat names the average checked; None checks the graph count."""
+    """Averages from the tally, and one equality row per (name, stat,
+    expected) check; stat names the average checked, None the graph count."""
     n = tally.map_count
     avg = {"components": Fraction(tally.components, n), "periodic": Fraction(tally.periodic, n), None: Fraction(n)}
     se = {
         "components": mean_stderr(tally.components, tally.components_sq, n),
         "periodic": mean_stderr(tally.periodic, tally.periodic_sq, n),
     }
-    if mode == "sampled":
-        comparisons = [z_comparison(name, None, avg[stat], want, se[stat], stat) for name, stat, want in checks]
-        extra.update(sample_count=n, stderr_components=se["components"], stderr_periodic=se["periodic"])
-    else:
-        comparisons = [exact_comparison(name, None, avg[stat], want, stat) for name, stat, want in checks]
+    drawn = n if mode == "sampled" else None
     return BaselineReport(
         kind=kind,
         mode=mode,
@@ -186,12 +181,18 @@ def _baseline_report(kind: str, mode: str, size: int, tally: Tally, checks, **ex
         graph_count=n,
         avg_components=avg["components"],
         avg_periodic=avg["periodic"],
-        theory_comparison=tuple(comparisons),
+        theory_comparison=tuple(
+            compare(name, avg[stat], "==", expected=want, drawn=drawn, stderr=se.get(stat), stat=stat)
+            for name, stat, want in checks
+        ),
+        sample_count=n,
+        stderr_components=se["components"],
+        stderr_periodic=se["periodic"],
         **extra,
     )
 
 
-def exhaustive_random_stats(n: int, jobs: int = 1) -> BaselineReport:
+def exhaustive_random_stats(n: int, jobs: int = 1, budget: int | None = None) -> BaselineReport:
     """Exact averages over all n^n self-maps; must equal the closed-form
     sums exactly."""
     if n < 1:
@@ -201,6 +202,7 @@ def exhaustive_random_stats(n: int, jobs: int = 1) -> BaselineReport:
             f"n = {n} exceeds the exhaustive cap {RANDOM_EXHAUSTIVE_MAX_N} "
             f"({n}^{n} maps); use sampling instead"
         )
+    _check_budget(n**n * n, budget, f"exhaustive random baseline of {n}^{n} maps", "use sampling instead")
     tally = run_blocks(_graph_block, (_map_at, (n,), None), n**n, jobs)
     th = random_map_stats(n)
     checks = (
@@ -221,12 +223,14 @@ def baseline_census(
     samples: int = 0,
     seed: int = 0,
     jobs: int = 1,
+    budget: int | None = None,
 ) -> BaselineReport:
     """Aggregate cycle statistics over one baseline family.
 
     kind "random" takes n; kind "quadratic" takes m and t.  Exhaustive
     mode checks exact equality with the closed forms; sampled mode
-    attaches five-sigma z-score checks instead.
+    attaches five-sigma z-score checks instead.  Either way the graphs
+    times their vertices must fit the budget.
     """
     if mode != "exhaustive" and samples < 1:
         raise ValueError("sampled mode needs samples >= 1")
@@ -234,24 +238,16 @@ def baseline_census(
         if n is None or n < 1:
             raise ValueError("random baseline needs n >= 1")
         if mode == "exhaustive":
-            return exhaustive_random_stats(n, jobs=jobs)
+            return exhaustive_random_stats(n, jobs=jobs, budget=budget)
         size, make, args, extra = n, _random_map, (n,), {}
-        # the exact sums involve integers with about n log10(n) digits, so
-        # past a few thousand points compare against the asymptotics
-        if n <= RANDOM_EXACT_THEORY_MAX_N:
-            th = random_map_stats(n)
-            checks = (("components_z", "components", th.components_exact), ("periodic_z", "periodic", th.periodic_exact))
-        else:
-            checks = (
-                ("components_z_asymptotic", "components", Fraction(random_components_asymptotic(n))),
-                ("periodic_z_asymptotic", "periodic", Fraction(random_periodic_asymptotic(n))),
-            )
     elif kind == "quadratic":
         if m is None or t is None or m < 1 or t < 1:
             raise ValueError("quadratic baseline needs m >= 1 and t >= 1")
         th_q = quad_graph_stats(m, t)
         size, make, args, extra = m * t, _quadratic_graph, (m, t), {"m": m, "t": t}
         if mode == "exhaustive":
+            what = f"exhaustive quadratic baseline of {th_q.graph_count} graphs"
+            _check_budget(th_q.graph_count * size, budget, what, "use sampling instead")
             tally = Tally()
             for g in enumerate_quadratic_graphs(m, t):
                 tally.add(cycle_census(g), 0)
@@ -260,8 +256,20 @@ def baseline_census(
                 ("quadratic_periodic_exact", "periodic", th_q.avg_periodic),
             )
             return _baseline_report("quadratic", "exhaustive", size, tally, checks, **extra)
-        checks = (("periodic_z", "periodic", th_q.avg_periodic),)
     else:
         raise ValueError(f"unknown baseline kind {kind!r}")
+    _check_budget(samples * size, budget, f"sampled {kind} baseline of {samples} graphs", "lower the sample count")
+    if kind == "quadratic":
+        checks = (("periodic_z", "periodic", th_q.avg_periodic),)
+    elif n <= RANDOM_EXACT_THEORY_MAX_N:
+        th = random_map_stats(n)
+        checks = (("components_z", "components", th.components_exact), ("periodic_z", "periodic", th.periodic_exact))
+    else:
+        # the exact sums involve integers with about n log10(n) digits, so
+        # past a few thousand points compare against the asymptotics
+        checks = (
+            ("components_z_asymptotic", "components", Fraction(random_components_asymptotic(n))),
+            ("periodic_z_asymptotic", "periodic", Fraction(random_periodic_asymptotic(n))),
+        )
     tally = run_blocks(_graph_block, (make, args, seed), samples, jobs)
     return _baseline_report(kind, "sampled", size, tally, checks, seed=seed, **extra)

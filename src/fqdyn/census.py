@@ -265,37 +265,65 @@ class TheoryComparison:
         return out
 
 
-def exact_comparison(
-    name: str, k: int | None, observed: Fraction, expected: Fraction, stat: str | None = None, relation: str = "=="
+def compare(
+    name: str,
+    observed: Fraction,
+    relation: str,
+    *,
+    expected: Fraction | None = None,
+    lower: Fraction | None = None,
+    upper: Fraction | None = None,
+    strict: bool = False,
+    tight: bool = False,
+    drawn: int | None = None,
+    stderr: float | None = None,
+    k: int | None = None,
+    stat: str | None = None,
+    vacuous: bool = False,
 ) -> TheoryComparison:
-    """An exact average against its closed-form value."""
+    """One statistic against its closed form; every report row is built here.
+
+    The row checks observed == expected, or observed against a lower
+    and/or upper bound; strict bounds exclude equality and a tight lower
+    bound must be met exactly.  drawn is the size of a drawn sample, None
+    for an exact average.  A drawn row allows 5 standard errors on every
+    check, and a sample with no spread takes 1/n as its standard error:
+    every statistic is an integer per map, so any spread gives at least
+    that much.
+    """
+    if drawn is None:  # an exact average: no allowance, bounds as stated
+        allow, dev = 0, lambda bound: observed - bound
+    else:  # deviations in standard errors, 5 allowed past any bound
+        se = stderr or 1 / drawn
+        allow, dev, strict = 5.0, lambda bound: float(observed - bound) / se, False
+    ok = True
+    if expected is not None:
+        ok = abs(dev(expected)) <= allow
+    if lower is not None:
+        below = -dev(lower)
+        ok = ok and (abs(below) <= allow if tight else (below < 0 if strict else below <= allow))
+    if upper is not None:
+        above = dev(upper)
+        ok = ok and (above < 0 if strict else above <= allow)
+    note = ""
+    if drawn is not None and expected is not None:
+        z = dev(expected)
+        relation, note = f"|z| <= 5 (z = {z:+.3f})", f"z={z:.6f}"
+    elif drawn is not None:
+        zs = (("z_lower", lower), ("z_upper", upper))
+        shown = ", ".join(f"{key} = {dev(b):+.3f}" for key, b in zs if b is not None)
+        relation += f"; drawn sample: within 5 standard errors ({shown})"
     return TheoryComparison(
         name=name,
         k=k,
         observed=observed,
-        expected=expected,
         relation=relation,
-        status="pass" if observed == expected else "fail",
-        stat=stat,
-    )
-
-
-def z_comparison(
-    name: str, k: int | None, observed: Fraction, expected: Fraction, stderr: float | None, stat: str | None = None
-) -> TheoryComparison:
-    """A sampled mean against its exact expectation: pass when |z| <= 5."""
-    if stderr is None or stderr == 0.0:
-        # degenerate sample; fall back to an exact comparison
-        return exact_comparison(name, k, observed, expected, stat, "== (no spread in sample)")
-    z = float(observed - expected) / stderr
-    return TheoryComparison(
-        name=name,
-        k=k,
-        observed=observed,
+        status="pass" if ok else "fail",
         expected=expected,
-        relation=f"|z| <= 5 (z = {z:+.3f})",
-        status="pass" if abs(z) <= 5.0 else "fail",
-        note=f"z={z:.6f}",
+        lower=lower,
+        upper=upper,
+        vacuous=vacuous,
+        note=note,
         stat=stat,
     )
 
@@ -354,66 +382,38 @@ class CensusReport:
 # --- comparison builders -------------------------------------------------------
 
 
-def _poly_lower(
-    drawn: bool, name: str, stat: str, observed: Fraction, lower: Fraction, stderr: float | None,
-    tight: bool, relation: str, holds: bool, **flags,
-) -> TheoryComparison:
-    """A lower-bound row: an equality where the bound is tight (a z-check
-    on drawn samples), else a bound that holds or not."""
-    if tight and drawn:
-        return z_comparison(name, None, observed, lower, stderr, stat)
-    return TheoryComparison(
-        name=name,
-        k=None,
-        observed=observed,
-        lower=lower,
-        relation=relation,
-        status="pass" if (observed == lower if tight else holds) else "fail",
-        stat=stat,
-        **flags,
-    )
+def _drawn(rep: CensusReport) -> int | None:
+    """The sample size of a drawn report; None when its averages are exact."""
+    return rep.sample_count if rep.mode == "sampled" and not rep.full_support else None
 
 
 def _poly_comparisons(rep: CensusReport) -> tuple[TheoryComparison, ...]:
     q, d, kmax = rep.q, rep.d, rep.kmax
-    avg_components, avg_periodic = rep.avg_components, rep.avg_periodic
-    # a drawn sample's mean almost never equals its expectation, so its
-    # equalities are z-checks; full-support averages are exact
-    drawn = rep.mode == "sampled" and not rep.full_support
-    out: list[TheoryComparison] = []
+    drawn, se_k = _drawn(rep), rep.stderr_k_cycles or {}
     top = min(d, kmax) if d >= 1 else min(1, kmax)
-    for k in range(1, top + 1):
-        expected = theory.poly_avg_k(q, d, k)
-        obs = rep.avg_k_cycles.get(k, Fraction(0))
-        if drawn:
-            out.append(z_comparison("poly_avg_k_exact", k, obs, expected, (rep.stderr_k_cycles or {}).get(k)))
-        else:
-            out.append(exact_comparison("poly_avg_k_exact", k, obs, expected))
+    out = [
+        compare(
+            "poly_avg_k_exact", rep.avg_k_cycles.get(k, Fraction(0)), "==",
+            expected=theory.poly_avg_k(q, d, k), k=k, drawn=drawn, stderr=se_k.get(k),
+        )
+        for k in range(1, top + 1)
+    ]
     b = theory.poly_component_bounds(q, d)
     tight = b.lower_is_tight
     tight_rel = "== (tight: d >= q)" if d >= q else "== (tight: d = q-1, q > 2)"
+    comps = {"drawn": drawn, "stderr": rep.stderr_components, "stat": "components"}
+    lower_rel = tight_rel if tight else "> (strict: d < q)"
     out.append(
-        _poly_lower(
-            drawn, "poly_components_lower", "components", avg_components, b.lower, rep.stderr_components,
-            tight, tight_rel if tight else "> (strict: d < q)", avg_components > b.lower,
+        compare(
+            "poly_components_lower", rep.avg_components, lower_rel, lower=b.lower, strict=True, tight=tight, **comps
         )
     )
-    out.append(
-        TheoryComparison(
-            name="poly_components_upper",
-            k=None,
-            observed=avg_components,
-            upper=b.upper,
-            relation="<=",
-            status="pass" if avg_components <= b.upper else "fail",
-            stat="components",
-        )
-    )
+    out.append(compare("poly_components_upper", rep.avg_components, "<=", upper=b.upper, **comps))
     pl = theory.poly_periodic_lower(q, d)
     out.append(
-        _poly_lower(
-            drawn, "poly_periodic_lower", "periodic", avg_periodic, pl, rep.stderr_periodic,
-            tight, tight_rel if tight else ">=", avg_periodic >= pl, vacuous=pl <= 0,
+        compare(
+            "poly_periodic_lower", rep.avg_periodic, tight_rel if tight else ">=", lower=pl, tight=tight,
+            vacuous=pl <= 0, drawn=drawn, stderr=rep.stderr_periodic, stat="periodic",
         )
     )
     return tuple(out)
@@ -421,74 +421,33 @@ def _poly_comparisons(rep: CensusReport) -> tuple[TheoryComparison, ...]:
 
 def _rat_comparisons(rep: CensusReport) -> tuple[TheoryComparison, ...]:
     q, d, kmax = rep.q, rep.d, rep.kmax
-    avg_components, avg_periodic = rep.avg_components, rep.avg_periodic
-    drawn = rep.mode == "sampled" and not rep.full_support
+    drawn, se_k = _drawn(rep), rep.stderr_k_cycles or {}
     out: list[TheoryComparison] = []
     for k in range(1, min(d + 1, kmax) + 1):
         b = theory.rat_avg_k_bounds(q, d, k)
-        obs = rep.avg_k_cycles.get(k, Fraction(0))
         lower = b.lower if k <= d else None
-        rel = "strictly between" if lower is not None else "< (upper only at k = d+1)"
-        ok = obs < b.upper and (lower is None or lower < obs)
-        stderr = (rep.stderr_k_cycles or {}).get(k) if drawn else None
-        if stderr:
-            # a drawn mean may sit past a bound by sampling error alone;
-            # allow the |z| <= 5 of z_comparison on either side
-            z_upper = float(obs - b.upper) / stderr
-            ok = z_upper <= 5.0
-            shown = f"z_upper = {z_upper:+.3f}"
-            if lower is not None:
-                z_lower = float(obs - lower) / stderr
-                ok = ok and z_lower >= -5.0
-                shown = f"z_lower = {z_lower:+.3f}, {shown}"
-            rel += f"; drawn sample: within 5 standard errors ({shown})"
         out.append(
-            TheoryComparison(
-                name="rat_avg_k_bounds" if lower is not None else "rat_avg_k_upper",
-                k=k,
-                observed=obs,
-                lower=lower,
-                upper=b.upper,
-                relation=rel,
-                status="pass" if ok else "fail",
-                vacuous=lower is not None and b.vacuous_lower,
+            compare(
+                "rat_avg_k_bounds" if lower is not None else "rat_avg_k_upper",
+                rep.avg_k_cycles.get(k, Fraction(0)),
+                "strictly between" if lower is not None else "< (upper only at k = d+1)",
+                lower=lower, upper=b.upper, strict=True, vacuous=lower is not None and b.vacuous_lower,
+                k=k, drawn=drawn, stderr=se_k.get(k),
             )
         )
     b = theory.rat_component_bounds(q, d)
+    comps = {"drawn": drawn, "stderr": rep.stderr_components, "stat": "components"}
     out.append(
-        TheoryComparison(
-            name="rat_components_lower",
-            k=None,
-            observed=avg_components,
-            lower=b.lower,
-            relation=">",
-            status="pass" if avg_components > b.lower else "fail",
-            vacuous=b.vacuous_lower,
-            stat="components",
+        compare(
+            "rat_components_lower", rep.avg_components, ">", lower=b.lower, strict=True, vacuous=b.vacuous_lower, **comps
         )
     )
-    out.append(
-        TheoryComparison(
-            name="rat_components_upper",
-            k=None,
-            observed=avg_components,
-            upper=b.upper,
-            relation="<=",
-            status="pass" if avg_components <= b.upper else "fail",
-            stat="components",
-        )
-    )
+    out.append(compare("rat_components_upper", rep.avg_components, "<=", upper=b.upper, **comps))
     pl = theory.rat_periodic_lower(q, d)
     out.append(
-        TheoryComparison(
-            name="rat_periodic_lower",
-            k=None,
-            observed=avg_periodic,
-            lower=pl,
-            relation=">=",
-            status="pass" if avg_periodic >= pl else "fail",
-            vacuous=pl <= 0,
-            stat="periodic",
+        compare(
+            "rat_periodic_lower", rep.avg_periodic, ">=", lower=pl, vacuous=pl <= 0,
+            drawn=drawn, stderr=rep.stderr_periodic, stat="periodic",
         )
     )
     return tuple(out)

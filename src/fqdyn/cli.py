@@ -212,6 +212,16 @@ def _cmd_census(args, jobs: int):
     return config, rep, bool(rep.failed)
 
 
+def _verify_result(args, q: int, checks: list[dict], echo: dict | None = None, **extra):
+    """(config, report, has_fail) of one verify check.  The config echoes
+    the field and `echo` (by default --dmax and the budget); the report
+    holds `extra`, the checks and whether all of them pass."""
+    config = {"command": f"verify:{args.check}", "p": args.p, "n": args.n, "q": q}
+    config.update(echo if echo is not None else {"dmax": args.dmax, "budget": resolve_budget(args.budget)})
+    all_pass = all(c["status"] == "pass" for c in checks)
+    return config, {**extra, "checks": checks, "all_pass": all_pass}, not all_pass
+
+
 def _cmd_verify_lemma_polys(args, jobs: int):
     ctx = _field(args)
     checks = []
@@ -230,16 +240,7 @@ def _cmd_verify_lemma_polys(args, jobs: int):
                     "status": "pass" if observed == expected else "fail",
                 }
             )
-    config = {
-        "command": "verify:lemma-polys",
-        "p": args.p,
-        "n": args.n,
-        "q": ctx.q,
-        "dmax": args.dmax,
-        "budget": resolve_budget(args.budget),
-    }
-    report = {"checks": checks, "all_pass": all(c["status"] == "pass" for c in checks)}
-    return config, report, not report["all_pass"]
+    return _verify_result(args, ctx.q, checks)
 
 
 def _cmd_verify_rat_count(args, jobs: int):
@@ -260,16 +261,7 @@ def _cmd_verify_rat_count(args, jobs: int):
                     "status": "pass" if observed == expected else "fail",
                 }
             )
-    config = {
-        "command": "verify:rat-count",
-        "p": args.p,
-        "n": args.n,
-        "q": ctx.q,
-        "dmax": args.dmax,
-        "budget": resolve_budget(args.budget),
-    }
-    report = {"checks": checks, "all_pass": all(c["status"] == "pass" for c in checks)}
-    return config, report, not report["all_pass"]
+    return _verify_result(args, ctx.q, checks)
 
 
 def _cmd_verify_prov(args, jobs: int):
@@ -301,20 +293,8 @@ def _cmd_verify_prov(args, jobs: int):
                 "status": "pass" if ok else "fail",
             }
         )
-    config = {
-        "command": "verify:prov",
-        "p": args.p,
-        "n": args.n,
-        "q": ctx.q,
-        "instances": args.instances,
-        "seed": args.seed,
-    }
-    report = {
-        "case_tally": case_tally,
-        "checks": checks,
-        "all_pass": all(c["status"] == "pass" for c in checks),
-    }
-    return config, report, not report["all_pass"]
+    echo = {"instances": args.instances, "seed": args.seed}
+    return _verify_result(args, ctx.q, checks, echo, case_tally=case_tally)
 
 
 def _cmd_verify_cycle_bounds(args, jobs: int):
@@ -342,35 +322,17 @@ def _cmd_verify_cycle_bounds(args, jobs: int):
                 ok = b.lower < observed < b.upper
             entry["status"] = "pass" if ok else "fail"
             checks.append(entry)
-    config = {
-        "command": "verify:cycle-bounds",
-        "p": args.p,
-        "n": args.n,
-        "q": q,
-        "dmax": args.dmax,
-        "budget": resolve_budget(args.budget),
-    }
-    report = {"checks": checks, "all_pass": all(c["status"] == "pass" for c in checks)}
-    return config, report, not report["all_pass"]
+    return _verify_result(args, q, checks)
 
 
 def _cmd_baseline(args, jobs: int):
     mode = "sampled" if args.samples is not None else "exhaustive"
+    common = {"mode": mode, "samples": args.samples or 0, "seed": args.seed, "jobs": jobs, "budget": args.budget}
     if args.kind == "random":
-        rep = baseline_census(
-            "random", n=args.size, mode=mode, samples=args.samples or 0, seed=args.seed, jobs=jobs
-        )
+        rep = baseline_census("random", n=args.size, **common)
         config = {"command": "baseline:random", "size": args.size, "mode": mode}
     else:
-        rep = baseline_census(
-            "quadratic",
-            m=args.m,
-            t=args.t,
-            mode=mode,
-            samples=args.samples or 0,
-            seed=args.seed,
-            jobs=jobs,
-        )
+        rep = baseline_census("quadratic", m=args.m, t=args.t, **common)
         config = {"command": "baseline:quadratic", "m": args.m, "t": args.t, "mode": mode}
     if mode == "sampled":
         config["samples"] = args.samples
@@ -448,6 +410,17 @@ def _cmd_rho(args, jobs: int):
     return config, report, status == "fail"
 
 
+def _write_report(path: Path, text: str) -> None:
+    """Write to a temporary file beside path, then rename it onto path, so a
+    failed write neither leaves a partial report nor clobbers the old one."""
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text(text, encoding="utf-8")
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 def run(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
@@ -489,7 +462,7 @@ def run(argv: list[str] | None = None) -> int:
         text = render_json(config, body)
     if args.output:
         try:
-            Path(args.output).write_text(text, encoding="utf-8")
+            _write_report(Path(args.output), text)
         except OSError as exc:
             print(f"error: cannot write {args.output}: {exc}", file=sys.stderr)
             return 2

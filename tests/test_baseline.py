@@ -164,6 +164,23 @@ class TestBaselineCensus:
         ratio = small.stderr_components / big.stderr_components
         assert 1.4 < ratio < 2.9
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"kind": "random", "n": 5},  # 5^5 maps of 5 points
+            {"kind": "random", "n": 1000, "mode": "sampled", "samples": 50},
+            {"kind": "quadratic", "m": 2, "t": 2},  # 36 graphs of 4 points
+            {"kind": "quadratic", "m": 2, "t": 3, "mode": "sampled", "samples": 2},
+        ],
+    )
+    def test_budget(self, kwargs):
+        with pytest.raises(BudgetError, match="over the budget of 10"):
+            baseline_census(**kwargs, budget=10)
+
+    def test_budget_counts_graphs_times_points(self):
+        assert baseline_census("random", n=5, mode="sampled", samples=2, budget=10).graph_count == 2
+        assert baseline_census("quadratic", m=2, t=2, budget=144).graph_count == 36
+
     def test_bad_args(self):
         with pytest.raises(ValueError):
             baseline_census("random")

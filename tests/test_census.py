@@ -4,11 +4,15 @@ closed forms, and determinism requirements."""
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from fqdyn.census import (
     BudgetError,
+    compare,
     count_cycle_givers,
     enumerate_S,
+    mean_stderr,
     poly_census,
     poly_cycle_totals_at_most,
     random_constraint_instance,
@@ -176,10 +180,80 @@ class TestSampledCensus:
         assert [c.k for c in per_length] == [1, 2, 3]
         assert all("within 5 standard errors" in c.relation for c in per_length)
 
+    @pytest.mark.parametrize("seed", [0, 2, 3])
+    def test_sampled_strict_lower_bound_allows_sampling_error(self, seed):
+        # the mean component count of degree-5 maps over GF(7) is 1.7630,
+        # half a standard error of 1000 draws above its strict lower bound
+        # 1.7501, so a strict check failed these seeds
+        rep = sampled_census(make_field(7), 5, "poly", 1000, seed)
+        assert rep.failed == []
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_sampled_rare_cycle_length_without_spread(self, seed):
+        # 200 maps of degree 9 over GF(11) show no 9-cycle (0.00094 expected
+        # per map); a row with no spread in the sample is judged with
+        # standard error 1/n instead of exactly
+        rep = sampled_census(make_field(11), 9, "poly", 200, seed)
+        assert rep.failed == []
+        nine = [c for c in rep.theory_comparison if c.k == 9]
+        assert rep.avg_k_cycles.get(9, 0) == 0 and nine[0].relation.startswith("|z| <= 5")
+
     def test_stderr_present(self):
         rep = sampled_census(F5, 2, "poly", 50, seed=0)
         assert rep.stderr_components is not None and rep.stderr_components >= 0
         assert rep.sample_count == 50
+
+
+LO, HI, BIT = Fraction(1), Fraction(3), Fraction(1, 100)
+
+
+class TestCompare:
+    @pytest.mark.parametrize(
+        "observed,kwargs,status",
+        [
+            # an exact average on the bound: strictness decides
+            (LO, {"lower": LO, "strict": True}, "fail"),
+            (LO, {"lower": LO}, "pass"),
+            (HI, {"upper": HI, "strict": True}, "fail"),
+            (HI, {"upper": HI}, "pass"),
+            (LO, {"lower": LO, "strict": True, "tight": True}, "pass"),
+            (LO + BIT, {"lower": LO, "tight": True}, "fail"),
+            (HI, {"expected": HI}, "pass"),
+            (HI - BIT, {"expected": HI}, "fail"),
+            # a drawn mean may lie 5 standard errors past any bound
+            (HI + Fraction(5, 2), {"upper": HI, "strict": True, "drawn": 30, "stderr": 0.5}, "pass"),
+            (HI + Fraction(5, 2) + BIT, {"upper": HI, "strict": True, "drawn": 30, "stderr": 0.5}, "fail"),
+            (LO - Fraction(5, 2), {"lower": LO, "strict": True, "drawn": 30, "stderr": 0.5}, "pass"),
+            (LO - Fraction(5, 2) - BIT, {"lower": LO, "drawn": 30, "stderr": 0.5}, "fail"),
+            (LO + Fraction(5, 2), {"lower": LO, "tight": True, "drawn": 30, "stderr": 0.5}, "pass"),
+            (LO + Fraction(5, 2) + BIT, {"lower": LO, "tight": True, "drawn": 30, "stderr": 0.5}, "fail"),
+            (HI - Fraction(5, 2), {"expected": HI, "drawn": 30, "stderr": 0.5}, "pass"),
+            (HI - Fraction(5, 2) - BIT, {"expected": HI, "drawn": 30, "stderr": 0.5}, "fail"),
+            # no spread in a drawn sample of 4: standard error 1/4
+            (HI + Fraction(5, 4), {"upper": HI, "strict": True, "drawn": 4, "stderr": 0.0}, "pass"),
+            (HI + Fraction(5, 4) + BIT, {"upper": HI, "strict": True, "drawn": 4, "stderr": 0.0}, "fail"),
+            (HI + Fraction(5, 4), {"expected": HI, "drawn": 4, "stderr": None}, "pass"),
+            (HI + Fraction(5, 4) + BIT, {"expected": HI, "drawn": 4, "stderr": None}, "fail"),
+        ],
+    )
+    def test_rule(self, observed, kwargs, status):
+        assert compare("row", observed, "rel", **kwargs).status == status
+
+    def test_relation_text(self):
+        assert compare("row", LO, "rel", lower=LO).relation == "rel"
+        bound = compare("row", Fraction(2), "rel", lower=LO, upper=HI, drawn=4, stderr=0.5)
+        assert bound.relation == "rel; drawn sample: within 5 standard errors (z_lower = +2.000, z_upper = -2.000)"
+        assert bound.note == "" and bound.expected is None
+        equal = compare("row", Fraction(2), "==", expected=HI, drawn=4, stderr=0.5)
+        assert (equal.relation, equal.note) == ("|z| <= 5 (z = -2.000)", "z=-2.000000")
+
+
+@given(st.lists(st.integers(0, 5), min_size=2, max_size=50).filter(lambda xs: len(set(xs)) > 1))
+def test_stderr_with_spread_is_at_least_one_over_n(xs):
+    # integers that are not all equal have n*sum(x^2) - sum(x)^2 >= n - 1,
+    # so the 1/n a sample without spread gets never lowers a real stderr
+    n = len(xs)
+    assert mean_stderr(sum(xs), sum(x * x for x in xs), n) >= (1 - 1e-12) / n
 
 
 class TestBudget:

@@ -154,6 +154,13 @@ class TestVerifyCommands:
 
 
 class TestBaselineCommands:
+    @pytest.mark.parametrize("argv", [["--size", "1000", "--samples", "50"], ["--size", "5"]])
+    def test_budget_exit(self, argv, capsys):
+        # 50 draws of 1000 points, or all 5^5 maps of 5 points, are far
+        # over 10 evaluations
+        code = cli.run(["baseline", "random", *argv, "--budget", "10", "--jobs", "1"])
+        assert code == 2 and "over the budget of 10" in capsys.readouterr().err
+
     def test_random_exhaustive(self):
         code, out, err = run_cli("baseline", "random", "--size", "4")
         assert code == 0, err
@@ -286,6 +293,19 @@ class TestUsageErrors:
             "verify", "lemma-polys", "--p", "3", "--n", "1", "--dmax", "1", "--format", "csv"
         )
         assert code == 2
+
+    def test_failed_write_keeps_previous_report(self, tmp_path, monkeypatch, capsys):
+        target = tmp_path / "report.json"
+        target.write_text("previous report\n", encoding="utf-8")
+
+        def refuse(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        code = cli.run(["census", "--p", "2", "--d", "1", "--jobs", "1", "--output", str(target)])
+        assert code == 2 and "error: cannot write" in capsys.readouterr().err
+        assert target.read_text(encoding="utf-8") == "previous report\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
 
     def test_unwritable_output_path(self, tmp_path):
         target = tmp_path / "missing" / "out.json"
