@@ -119,8 +119,15 @@ def mean_stderr(total: int, total_sq: int, n: int) -> float | None:
     return math.sqrt(float(var) / n)
 
 
+def usable_cpus() -> int:
+    """The CPUs this process may run on: the default worker count and its cap."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _split_blocks(total: int, jobs: int) -> list[tuple[int, int]]:
-    jobs = max(1, min(jobs, total)) if total else 1
+    jobs = max(1, min(jobs, total, usable_cpus())) if total else 1
     step = total // jobs
     extra = total % jobs
     blocks = []
@@ -134,7 +141,8 @@ def _split_blocks(total: int, jobs: int) -> list[tuple[int, int]]:
 
 def run_blocks(fn: Callable, args: tuple, total: int, jobs: int):
     """fn(*args, lo, hi) over contiguous blocks covering range(total), one
-    worker process per block when jobs > 1; the results merge with +."""
+    worker process per block when jobs > 1, never more blocks than usable
+    CPUs; the results merge with +."""
     blocks = _split_blocks(total, jobs)
     if len(blocks) <= 1:
         return fn(*args, 0, total)
@@ -289,12 +297,17 @@ def compare(
     for an exact average.  A drawn row allows 5 standard errors on every
     check, and a sample with no spread takes 1/n as its standard error:
     every statistic is an integer per map, so any spread gives at least
-    that much.
+    that much.  Every statistic is also >= 0, so X^2 >= X and a statistic
+    of mean m has variance at least m - m^2; an equality row never takes
+    a standard error below that floor, which a low count of a rare
+    cycle length would otherwise bring.
     """
     if drawn is None:  # an exact average: no allowance, bounds as stated
         allow, dev = 0, lambda bound: observed - bound
     else:  # deviations in standard errors, 5 allowed past any bound
         se = stderr or 1 / drawn
+        if expected is not None:
+            se = max(se, math.sqrt(max(expected - expected**2, 0) / drawn))
         allow, dev, strict = 5.0, lambda bound: float(observed - bound) / se, False
     ok = True
     if expected is not None:

@@ -40,6 +40,7 @@ from .census import (
     rho_experiment,
     sampled_census,
     solution_count_case,
+    usable_cpus,
     _check_budget,
     _rational_raw_count,
 )
@@ -68,10 +69,6 @@ def _canon_family(name: str) -> str:
     return {"poly": "poly", "rat": "rational", "rational": "rational"}[name]
 
 
-def _default_jobs() -> int:
-    return os.cpu_count() or 1
-
-
 def _worker_count(text: str) -> int:
     jobs = int(text)
     if jobs < 1:
@@ -85,7 +82,7 @@ def _add_field_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _add_common_flags(p: argparse.ArgumentParser, fmt: bool = False) -> None:
-    p.add_argument("--jobs", type=_worker_count, default=None, help="worker count >= 1 (default: cpu count)")
+    p.add_argument("--jobs", type=_worker_count, default=None, help="worker count >= 1 (default and cap: usable CPUs)")
     p.add_argument("--output", type=str, default=None, help="write report to file instead of stdout")
     p.add_argument("--budget", type=int, default=None, help="evaluation budget override")
     if fmt:
@@ -341,6 +338,8 @@ def _cmd_baseline(args, jobs: int):
 
 
 def _cmd_theory(args):
+    if args.d < 0:
+        raise ValueError("degree must be >= 0")
     ctx = _field(args)
     q, d = ctx.q, args.d
     kmax = args.kmax if args.kmax is not None else d + 1
@@ -427,7 +426,7 @@ def run(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
-    jobs = _default_jobs() if getattr(args, "jobs", None) is None else args.jobs
+    jobs = usable_cpus() if getattr(args, "jobs", None) is None else args.jobs
     try:
         if args.command == "census":
             config, rep, has_fail = _cmd_census(args, jobs)

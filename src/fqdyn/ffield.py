@@ -6,10 +6,13 @@ stands for the residue sum(d_i * t**i) modulo the defining polynomial.
 Handle 0 is the additive identity and handle 1 the multiplicative
 identity, for every field.
 
-Multiplication and inversion go through discrete-log/antilog tables for
-fields up to a configurable size cap; addition in extension fields uses a
-Zech-logarithm table.  Prime fields above the cap fall back to direct
-modular arithmetic; extension fields above the cap are refused.
+Multiplication, inversion and negation (multiplication by handle p - 1,
+which is -1) go through discrete-log/antilog tables for fields up to a
+configurable size cap; addition in extension fields uses a
+Zech-logarithm table.  The tables come from the smallest generator of
+the unit group, found and tabulated in one walk of its powers.  Prime
+fields above the cap fall back to direct modular arithmetic; extension
+fields above the cap are refused.
 """
 
 from __future__ import annotations
@@ -54,7 +57,7 @@ class FieldCtx:
     q: int
     modulus: tuple[int, ...]  # monic, degree n, least-significant first
     exp_table: tuple[int, ...] | None  # g^i for i in [0, 2(q-1)); None above cap
-    log_table: tuple[int, ...] | None  # discrete log base g; entry 0 unused
+    log_table: tuple[int, ...] | None  # discrete log base g; entry 0 is -1
     zech_table: tuple[int, ...] | None  # log(1 + g^k); extension fields only
 
     def add(self, a: FqElem, b: FqElem) -> FqElem:
@@ -75,18 +78,7 @@ class FieldCtx:
         return self.exp_table[i + z]
 
     def neg(self, a: FqElem) -> FqElem:
-        if self.n == 1:
-            return (-a) % self.p
-        if self.p == 2:
-            return a
-        p = self.p
-        out = 0
-        mult = 1
-        while a:
-            a, d = divmod(a, p)
-            out += ((p - d) % p) * mult
-            mult *= p
-        return out
+        return self.mul(a, self.p - 1)  # handle p - 1 is -1 in every GF(p^n)
 
     def sub(self, a: FqElem, b: FqElem) -> FqElem:
         if self.n == 1:
@@ -173,12 +165,6 @@ def _slow_mul(a: int, b: int, modulus: tuple[int, ...], p: int, n: int) -> int:
     return _undigits(rem, p)
 
 
-def _slow_add(a: int, b: int, p: int, n: int) -> int:
-    da = _digits(a, p, n)
-    db = _digits(b, p, n)
-    return _undigits([(x + y) % p for x, y in zip(da, db)], p)
-
-
 def _is_irreducible_gfp(poly: list[int], p: int) -> bool:
     """Trial division by every monic polynomial of degree 1..deg//2."""
     deg = len(poly) - 1
@@ -203,49 +189,26 @@ def _default_modulus(p: int, n: int) -> tuple[int, ...]:
     raise AssertionError("no irreducible polynomial found; unreachable for prime p")
 
 
-def _prime_factors(m: int) -> list[int]:
-    out = []
-    f = 2
-    while f * f <= m:
-        if m % f == 0:
-            out.append(f)
-            while m % f == 0:
-                m //= f
-        f += 1
-    if m > 1:
-        out.append(m)
-    return out
-
-
 def _build_tables(
     p: int, n: int, q: int, modulus: tuple[int, ...]
 ) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...] | None]:
-    def mul(a: int, b: int) -> int:
-        if n == 1:
-            return (a * b) % p
-        return _slow_mul(a, b, modulus, p, n)
+    """exp, log and Zech tables of the smallest generator of GF(q)*.
 
-    def order_is_full(g: int) -> bool:
-        for r in _prime_factors(q - 1):
-            acc = 1
-            for _ in range((q - 1) // r):
-                acc = mul(acc, g)
-            if acc == 1:
-                return False
-        return True
-
-    gen = 1
-    for cand in range(2, q):
-        if order_is_full(cand):
-            gen = cand
+    Candidates 2, 3, ... are tried in handle order, each by walking its
+    powers until they return to 1.  Every order divides q - 1, so the
+    first walk that passes through all q - 1 units is the generator's,
+    and that walk is the exp table.  q == 2 keeps exp == [1]: the
+    trivial group.
+    """
+    exp = [1]
+    for g in range(2, q):
+        exp, x = [1], g
+        while x != 1:
+            exp.append(x)
+            x = x * g % p if n == 1 else _slow_mul(x, g, modulus, p, n)
+        if len(exp) == q - 1:
             break
-    # q == 2 keeps gen == 1: the trivial group.
-
-    exp = [1] * (2 * (q - 1))
-    for i in range(1, q - 1):
-        exp[i] = mul(exp[i - 1], gen)
-    for i in range(q - 1, len(exp)):
-        exp[i] = exp[i - (q - 1)]
+    exp += exp
 
     log = [_ZECH_NONE] * q
     for i in range(q - 1):
@@ -253,11 +216,9 @@ def _build_tables(
 
     zech = None
     if n > 1:
-        zech = [_ZECH_NONE] * (q - 1)
-        for k in range(q - 1):
-            s = _slow_add(1, exp[k], p, n)
-            zech[k] = log[s] if s else _ZECH_NONE
-        zech = tuple(zech)
+        # 1 + h adds 1 to the lowest base-p digit of handle h; log[0]
+        # holds the marker for 1 + g^k == 0
+        zech = tuple(log[h - h % p + (h + 1) % p] for h in exp[: q - 1])
     return tuple(exp), tuple(log), zech
 
 

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from fqdyn import census
 from fqdyn.census import (
     BudgetError,
     compare,
@@ -22,6 +23,7 @@ from fqdyn.census import (
     rho_experiment,
     sampled_census,
     solution_count_case,
+    usable_cpus,
 )
 from fqdyn.ffield import make_field
 from fqdyn.fmaps import poly_mul
@@ -198,13 +200,21 @@ class TestSampledCensus:
         nine = [c for c in rep.theory_comparison if c.k == 9]
         assert rep.avg_k_cycles.get(9, 0) == 0 and nine[0].relation.startswith("|z| <= 5")
 
+    def test_rare_count_below_expectation_keeps_the_variance_floor(self):
+        # 3 five-cycles among 200 maps against 13.8 expected: the sample's
+        # own standard error gave z = -6.25, the floor sqrt((m - m^2)/n) z = -3.0
+        rep = sampled_census(make_field(11), 9, "poly", 200, 16)
+        assert rep.failed == []
+        five = [c for c in rep.theory_comparison if c.k == 5][0]
+        assert five.observed == Fraction(3, 200) and five.relation == "|z| <= 5 (z = -3.008)"
+
     def test_stderr_present(self):
         rep = sampled_census(F5, 2, "poly", 50, seed=0)
         assert rep.stderr_components is not None and rep.stderr_components >= 0
         assert rep.sample_count == 50
 
 
-LO, HI, BIT = Fraction(1), Fraction(3), Fraction(1, 100)
+LO, HI, HALF, BIT = Fraction(1), Fraction(3), Fraction(1, 2), Fraction(1, 100)
 
 
 class TestCompare:
@@ -234,6 +244,13 @@ class TestCompare:
             (HI + Fraction(5, 4) + BIT, {"upper": HI, "strict": True, "drawn": 4, "stderr": 0.0}, "fail"),
             (HI + Fraction(5, 4), {"expected": HI, "drawn": 4, "stderr": None}, "pass"),
             (HI + Fraction(5, 4) + BIT, {"expected": HI, "drawn": 4, "stderr": None}, "fail"),
+            # an equality's standard error is at least sqrt((m - m^2)/n),
+            # here sqrt((1/2 - 1/4)/100) = 1/20; z = -4 and -6
+            (HALF - Fraction(4, 20), {"expected": HALF, "drawn": 100, "stderr": 0.01}, "pass"),
+            (HALF - Fraction(6, 20), {"expected": HALF, "drawn": 100, "stderr": 0.01}, "fail"),
+            # a floor below the sample's standard error leaves z as it was
+            (HALF + 2, {"expected": HALF, "drawn": 100, "stderr": 0.5}, "pass"),
+            (HALF + Fraction(5, 2) + BIT, {"expected": HALF, "drawn": 100, "stderr": 0.5}, "fail"),
         ],
     )
     def test_rule(self, observed, kwargs, status):
@@ -285,6 +302,20 @@ class TestBudget:
         monkeypatch.setenv("FQDYN_BUDGET", "10")
         assert resolve_budget(10**6) == 10**6
         poly_census(F5, 2, budget=10**6)  # no raise
+
+
+class TestWorkerBound:
+    def test_blocks_capped_by_usable_cpus(self, monkeypatch):
+        # no process is started: the cap is read from the affinity mask
+        monkeypatch.setattr(census.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        assert usable_cpus() == 2
+        assert census._split_blocks(10**6, 10**5) == [(0, 500_000), (500_000, 10**6)]
+        assert census._split_blocks(3, 1) == [(0, 3)]
+
+    def test_cpu_count_without_affinity(self, monkeypatch):
+        monkeypatch.delattr(census.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(census.os, "cpu_count", lambda: None)
+        assert usable_cpus() == 1
 
 
 class TestExhaustiveJobsIndependence:

@@ -218,6 +218,11 @@ class TestTheoryCommand:
         assert rep["poly"]["avg_k"]["2"] == {"num": "2", "den": "5"}
         assert "component_bounds" in rep["poly"]
 
+    def test_negative_degree_rejected(self, capsys):
+        # poly_component_bounds used to take log(0): "math domain error"
+        assert cli.run(["theory", "--p", "3", "--d", "-1"]) == 2
+        assert capsys.readouterr().err == "error: degree must be >= 0\n"
+
 
 class TestRhoCommand:
     def test_report_and_band(self):

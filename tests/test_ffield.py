@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fqdyn.ffield import DEFAULT_TABLE_CAP, FieldCtx, make_field
+from fqdyn.ffield import DEFAULT_TABLE_CAP, FieldCtx, is_prime, make_field
 
 from oracles import oracle_add, oracle_mul
 
@@ -108,6 +110,27 @@ def test_fermat_and_inverse_roundtrip(p: int, n: int):
             assert f.pow(a, f.q - 1) == 1
             assert f.inv(f.inv(a)) == a
             assert f.mul(a, f.inv(a)) == 1
+
+
+def test_tables_walk_the_smallest_generator():
+    # every field with q <= 2^12: 564 prime fields and 40 extension fields
+    fields = [(p, n) for p in range(2, 4097) if is_prime(p) for n in range(1, 13) if p**n <= 4096]
+    assert len(fields) == 604
+    for p, n in fields:
+        f = make_field(p, n)
+        q, exp, log, g = f.q, f.exp_table, f.log_table, f.exp_table[1]
+        assert sorted(exp[: q - 1]) == list(range(1, q)) and exp[q - 1 :] == exp[: q - 1]
+        assert all(log[exp[i]] == i for i in range(q - 1))
+        if n == 1:
+            assert all(exp[i + 1] == exp[i] * g % p for i in range(q - 2))
+        else:
+            assert all(exp[i + 1] == oracle_mul(exp[i], g, p, n, f.modulus) for i in range(q - 2))
+        # g^i generates exactly when gcd(i, q - 1) == 1: no smaller handle does
+        assert not any(math.gcd(log[h], q - 1) == 1 for h in range(2, g))
+        if n > 1:
+            sums = [oracle_add(1, exp[k], p, n) for k in range(q - 1)]
+            assert list(f.zech_table) == [log[s] if s else -1 for s in sums]
+        assert all(f.add(a, f.neg(a)) == 0 for a in range(q))
 
 
 def test_pow_edge_cases():
