@@ -7,6 +7,12 @@ and adds their statistics to integer sums, and the blocks' results
 merge by plain addition.  Addition is associative and commutative, so
 every worker count and schedule yields byte-identical reports.
 
+An exhaustive block decodes its first slot once and walks the rest as
+an odometer, building each map's successor table from running column
+sums of its coefficients times powers of x (see _column_runs); no map is
+evaluated point by point.  Sampled and rho runs draw independent maps,
+so they keep Horner evaluation (build_graph and Family.evaluate).
+
 All averages are exact rationals.  Floats appear only in sampled-mode
 standard errors and in diagnostics.
 """
@@ -24,9 +30,8 @@ from functools import reduce
 from typing import Callable, Sequence
 
 from .ffield import FieldCtx, FqElem
-from .fgraph import CycleStats, brent_rho, build_graph, cycle_census
+from .fgraph import CycleStats, FunctionalGraph, brent_rho, build_graph, cycle_census
 from .fmaps import (
-    CONSTANT_INFINITY,
     Poly,
     RationalMap,
     canonicalize_rational,
@@ -177,25 +182,108 @@ def _rational_map_count(ctx: FieldCtx, d: int, mode: str) -> int:
     return theory.rat_count(ctx.q, d, mode)
 
 
-def _rational_decode(ctx: FieldCtx, d: int, mode: str, i: int) -> RationalMap | None:
-    """Slot i of the raw pair space, denominators by degree, numerators
-    fastest; the slot after the last pair holds the constant-infinity map.
-    None when the slot is not coprime or not in the degree range."""
+# --- successor tables of an exhaustive block, from running column sums ---------
+
+# Fields up to this size tabulate addition and multiplication, q rows of q
+# (65,536 entries at most); larger fields compute each row when it is used.
+ROW_TABLE_MAX = 1 << 8
+
+
+def _op_rows(ctx: FieldCtx, op: Callable[[FqElem, FqElem], FqElem]) -> Callable[[FqElem], tuple[FqElem, ...]]:
+    """row(a)[y] = op(a, y) for every y in F_q, tabulated once up to ROW_TABLE_MAX."""
     q = ctx.q
+    if q > ROW_TABLE_MAX:
+        return lambda a: tuple(op(a, y) for y in range(q))
+    return tuple(tuple(op(a, y) for y in range(q)) for a in range(q)).__getitem__
+
+
+def _column_runs(ctx: FieldCtx, d: int, start: Poly, count: int):
+    """Walk count polynomials of degree <= d from start on, in the order of
+    the slot decoders: the base-q odometer with the constant term fastest.
+
+    Yields runs (high, s1, consts) of polynomials sharing high = (a_1, ...,
+    a_d): s1[x] is the value column sum(a_j x^j, j >= 1) at every x, and
+    consts the run's constant terms, so the polynomial a_0 + ... takes the
+    value a_0 + s1[x] at x.  Column S_j = S_(j+1) + a_j x^j is kept per
+    level and rebuilt only when its digit changes.
+    """
+    q, digits = ctx.q, list(start) + [0] * (d + 1 - len(start))
+    add, mul = ctx.add, ctx.mul
+    powers = [None] + [[ctx.pow(x, j) for x in ctx.elements()] for j in range(1, d + 1)]
+    cols: list = [None] * (d + 1) + [(0,) * q]
+    a0, changed = digits[0], d
+    while count > 0:
+        if a0 == q:  # carry into the higher digits
+            a0, changed = 0, 1
+            while digits[changed] == q - 1:
+                digits[changed] = 0
+                changed += 1
+            digits[changed] += 1
+        for j in range(changed, 0, -1):
+            a = digits[j]
+            cols[j] = tuple(add(s, mul(a, t)) for s, t in zip(cols[j + 1], powers[j]))
+        changed = 0
+        n = min(q - a0, count)
+        yield tuple(digits[1:]), cols[1], range(a0, a0 + n)
+        a0, count = a0 + n, count - n
+
+
+def _poly_successors(ctx: FieldCtx, d: int, mode: str, lo: int, hi: int):
+    """Successor tuple of each polynomial in slots [lo, hi): one row of the
+    addition table of its constant term, read at the column s1."""
+    add_row = _op_rows(ctx, ctx.add)
+    for _, s1, consts in _column_runs(ctx, d, _poly_decode(ctx, d, mode, lo), hi - lo):
+        at = operator.itemgetter(*s1)
+        for c in consts:
+            yield at(add_row(c))
+
+
+def _rational_successors(ctx: FieldCtx, d: int, mode: str, lo: int, hi: int):
+    """Successor tuple of each rational map in raw-pair slots [lo, hi).
+
+    Slots run over monic denominators by degree e, numerators of degree
+    <= d fastest; the slot after the last pair holds the constant-infinity
+    map.  Slots outside the mode, or with num and den not coprime, yield
+    nothing.  Both walks reuse the polynomial columns: a denominator's
+    value column is fixed while its numerators run, a point where it
+    vanishes goes to infinity, and infinity goes where the degrees and the
+    numerator's leading coefficient send it.
+    """
+    q = inf = ctx.q
     num_count = q ** (d + 1)
+    add_row, mul_row = _op_rows(ctx, ctx.add), _op_rows(ctx, ctx.mul)
+    to_inf = (inf,) * q
+    base = 0
     for e in range(d + 1):
-        block = q**e * num_count
-        if i < block:
-            den_idx, num_idx = divmod(i, num_count)
-            den = monic_poly_at(ctx, e, den_idx)
-            num = poly_at_most_at(ctx, d, num_idx)
-            if mode == "exactly" and max(len(num) - 1, e) != d:
-                return None
-            if len(poly_gcd(ctx, num, den)) > 1:
-                return None
-            return RationalMap(num, den)
-        i -= block
-    return CONSTANT_INFINITY if mode == "at_most" or d == 0 else None
+        first, last = max(lo - base, 0), min(hi - base, q**e * num_count)
+        base += q**e * num_count
+        if first >= last:
+            continue
+        den_idx, num_idx = divmod(first, num_count)
+        num_start = poly_at_most_at(ctx, d, num_idx)
+        den_count = (last - 1) // num_count - den_idx + 1
+        for den_high, den_s1, den_consts in _column_runs(ctx, e, monic_poly_at(ctx, e, den_idx), den_count):
+            den_at = operator.itemgetter(*den_s1)
+            for b in den_consts:
+                den = (b, *den_high)
+                divide = tuple(mul_row(ctx.inv(v)) if v else to_inf for v in den_at(add_row(b)))
+                n = min(last - first, num_count - num_idx)
+                for high, s1, consts in _column_runs(ctx, d, num_start, n):
+                    at = operator.itemgetter(*s1)
+                    top = max((j for j, a in enumerate(high, 1) if a), default=0)
+                    for c in consts:
+                        deg = top or (0 if c else -1)  # -1 for the zero numerator
+                        if mode == "exactly" and max(deg, e) != d:
+                            continue
+                        if e and len(poly_gcd(ctx, normalize_poly((c, *high)), den)) > 1:
+                            continue
+                        lead = high[top - 1] if top else c
+                        image = inf if deg > e else lead if deg == e else 0
+                        yield (*map(operator.getitem, divide, at(add_row(c))), image)
+                first += n
+                num_idx, num_start = 0, ()
+    if lo <= base < hi and (mode == "at_most" or d == 0):
+        yield (inf,) * (q + 1)
 
 
 def _sample_poly(ctx: FieldCtx, d: int, rng) -> Poly:
@@ -474,16 +562,18 @@ class Family:
     """One family of maps over F_q, and everything a census needs from it.
 
     Enumeration modes are "exactly" and "at_most" (degree d or <= d).
-    decode(ctx, d, mode, i) gives the map in slot i of index_count(ctx,
-    d, mode) slots, or None for a slot outside the mode; map_count(ctx,
-    d, mode) is the closed-form number of maps those slots hold.
+    successors(ctx, d, mode, lo, hi) yields the successor tuple of each
+    map in slots [lo, hi) of index_count(ctx, d, mode) slots, skipping
+    slots outside the mode; map_count(ctx, d, mode) is the closed-form
+    number of maps those slots hold.  sample and evaluate serve drawn runs,
+    whose maps are independent and so each evaluated point by point.
     """
 
     name: str  # "poly" | "rational", as reports echo it
     points_at_infinity: int  # graphs have q + this many vertices
     index_count: Callable[[FieldCtx, int, str], int]
     map_count: Callable[[FieldCtx, int, str], int]
-    decode: Callable[[FieldCtx, int, str, int], Poly | RationalMap | None]
+    successors: Callable  # (ctx, d, mode, lo, hi) -> successor tuples
     sample: Callable  # (ctx, d, rng) -> uniform map of degree exactly d
     evaluate: Callable  # (ctx, map, point) -> point
     comparisons: Callable[[CensusReport], tuple[TheoryComparison, ...]]
@@ -497,7 +587,7 @@ POLY = Family(
     points_at_infinity=0,
     index_count=_poly_count,
     map_count=_poly_count,
-    decode=_poly_decode,
+    successors=_poly_successors,
     sample=_sample_poly,
     evaluate=eval_poly,
     comparisons=_poly_comparisons,
@@ -507,7 +597,7 @@ RATIONAL = Family(
     points_at_infinity=1,
     index_count=_rational_index_count,
     map_count=_rational_map_count,
-    decode=_rational_decode,
+    successors=_rational_successors,
     sample=_sample_rational,
     evaluate=eval_rational,
     comparisons=_rat_comparisons,
@@ -529,11 +619,14 @@ def _census_block(
 ) -> Tally:
     """Tally the maps in slots [start, stop) of the mode's enumeration, or,
     with a seed, the maps drawn from each index's own random stream."""
+    if seed is None:
+        size = family.vertices(ctx)
+        graphs = (FunctionalGraph(size, succ) for succ in family.successors(ctx, d, mode, start, stop))
+    else:
+        graphs = (build_graph(ctx, family.sample(ctx, d, per_index_rng(seed, i))) for i in range(start, stop))
     tally = Tally()
-    for i in range(start, stop):
-        m = family.decode(ctx, d, mode, i) if seed is None else family.sample(ctx, d, per_index_rng(seed, i))
-        if m is not None:
-            tally.add(cycle_census(build_graph(ctx, m)), kmax)
+    for g in graphs:
+        tally.add(cycle_census(g), kmax)
     return tally
 
 

@@ -45,7 +45,7 @@ from .census import (
     _rational_raw_count,
 )
 from .baseline import baseline_census
-from .ffield import FieldCtx, make_field
+from .ffield import FieldCtx, field_order, make_field
 from .fmaps import enumerate_rationals
 from .reportio import frac_json, render_csv, render_json
 from .seeding import per_index_rng
@@ -69,11 +69,21 @@ def _canon_family(name: str) -> str:
     return {"poly": "poly", "rat": "rational", "rational": "rational"}[name]
 
 
-def _worker_count(text: str) -> int:
-    jobs = int(text)
-    if jobs < 1:
-        raise argparse.ArgumentTypeError(f"worker count must be >= 1, got {jobs}")
-    return jobs
+def _int_at_least(low: int, what: str):
+    """An argparse type: an int below low is a usage error naming what."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"{what} must be >= {low}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type when int() fails
+    return parse
+
+
+_worker_count = _int_at_least(1, "worker count")
+_cycle_length_cap = _int_at_least(0, "cycle length cap")
 
 
 def _add_field_flags(p: argparse.ArgumentParser) -> None:
@@ -97,7 +107,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_field_flags(cen)
     cen.add_argument("--family", choices=("poly", "rat", "rational"), default="poly")
     cen.add_argument("--d", type=int, required=True, help="map degree")
-    cen.add_argument("--kmax", type=int, default=None)
+    cen.add_argument("--kmax", type=_cycle_length_cap, default=None)
     cen.add_argument("--samples", type=int, default=None, help="switch to sampled mode")
     cen.add_argument("--seed", type=int, default=0)
     cen.add_argument(
@@ -150,7 +160,7 @@ def build_parser() -> argparse.ArgumentParser:
     theo = subs.add_parser("theory", help="closed-form values, no enumeration")
     _add_field_flags(theo)
     theo.add_argument("--d", type=int, required=True)
-    theo.add_argument("--kmax", type=int, default=None)
+    theo.add_argument("--kmax", type=_cycle_length_cap, default=None)
     theo.add_argument("--output", type=str, default=None)
 
     rho = subs.add_parser("rho", help="iteration tail+cycle experiment")
@@ -340,8 +350,7 @@ def _cmd_baseline(args, jobs: int):
 def _cmd_theory(args):
     if args.d < 0:
         raise ValueError("degree must be >= 0")
-    ctx = _field(args)
-    q, d = ctx.q, args.d
+    q, d = field_order(args.p, args.n), args.d
     kmax = args.kmax if args.kmax is not None else d + 1
     poly: dict = {"cycle_totals_at_most": {}, "avg_k": {}}
     for k in range(1, kmax + 1):

@@ -44,6 +44,15 @@ def is_prime(m: int) -> bool:
     return True
 
 
+def field_order(p: int, n: int = 1) -> int:
+    """q = p**n, the size of GF(p^n), once p is a prime and n >= 1."""
+    if not is_prime(p):
+        raise ValueError(f"p = {p} is not prime")
+    if n < 1:
+        raise ValueError(f"extension degree n = {n} must be >= 1")
+    return p**n
+
+
 @dataclass(frozen=True)
 class FieldCtx:
     """Immutable description of GF(p^n) plus its operation tables.
@@ -235,11 +244,7 @@ def make_field(
     deterministic.  A supplied modulus must be monic of degree n and is
     verified irreducible.
     """
-    if not is_prime(p):
-        raise ValueError(f"p = {p} is not prime")
-    if n < 1:
-        raise ValueError(f"extension degree n = {n} must be >= 1")
-    q = p**n
+    q = field_order(p, n)
 
     if modulus is None:
         mod = _default_modulus(p, n)

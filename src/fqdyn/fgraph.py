@@ -5,6 +5,11 @@ connected component contains exactly one cycle: the component count is
 the cycle count, and the periodic points are the vertices on cycles.
 The census below therefore needs only the cycles, which it finds in a
 single O(size) walk over the vertices.
+
+build_graph evaluates a map at every point by Horner's rule; sampled
+and rho runs use it.  Exhaustive censuses build their successor tables
+from running column sums instead (census._column_runs) and wrap them in
+FunctionalGraph directly.
 """
 
 from __future__ import annotations

@@ -224,6 +224,22 @@ class TestTheoryCommand:
         assert capsys.readouterr().err == "error: degree must be >= 0\n"
 
 
+    def test_extension_field_past_the_table_cap(self, monkeypatch, capsys):
+        # every closed form needs q alone; this used to build GF(2^17)'s
+        # tables and exit 2 with "extension fields require tables"
+        monkeypatch.setattr(cli, "make_field", None)
+        assert cli.run(["theory", "--p", "2", "--n", "17", "--d", "1"]) == 0
+        config = json.loads(capsys.readouterr().out)["config"]
+        assert (config["p"], config["n"], config["q"]) == (2, 17, 131072)
+
+    @pytest.mark.parametrize(
+        "field, message", [(["--p", "6"], "p = 6 is not prime"), (["--p", "3", "--n", "0"], "extension degree n = 0 must be >= 1")]
+    )
+    def test_field_checks_kept(self, field, message, capsys):
+        assert cli.run(["theory", *field, "--d", "1"]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+
 class TestRhoCommand:
     def test_report_and_band(self):
         code, out, err = run_cli(
@@ -277,6 +293,18 @@ class TestUsageErrors:
         # --jobs 0 used to mean "cpu count"
         assert cli.run(["census", "--p", "2", "--d", "1", "--jobs", jobs]) == 2
         assert "--jobs" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["census", "theory"])
+    def test_negative_kmax_rejected(self, command, capsys):
+        # --kmax -1 used to exit 0 with no per-length rows
+        assert cli.run([command, "--p", "3", "--d", "2", "--kmax", "-1"]) == 2
+        err = capsys.readouterr().err
+        assert "argument --kmax: cycle length cap must be >= 0, got -1" in err
+
+    def test_kmax_zero_accepted(self, capsys):
+        assert cli.run(["census", "--p", "3", "--d", "2", "--kmax", "0", "--jobs", "1"]) == 0
+        report = json.loads(capsys.readouterr().out)["report"]
+        assert report["kmax"] == 0 and report["avg_k_cycles"] == {}
 
     def test_internal_error_exit(self, monkeypatch, capsys):
         # a broken invariant is a bug, told apart from a failed comparison (1)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fqdyn.ffield import DEFAULT_TABLE_CAP, FieldCtx, is_prime, make_field
+from fqdyn.ffield import DEFAULT_TABLE_CAP, FieldCtx, field_order, is_prime, make_field
 
 from oracles import oracle_add, oracle_mul
 
@@ -50,6 +50,21 @@ def test_composite_p_rejected():
 def test_bad_extension_degree_rejected():
     with pytest.raises(ValueError):
         make_field(2, 0)
+
+
+@pytest.mark.parametrize(
+    "p, n, message", [(4, 1, "p = 4 is not prime"), (91, 1, "p = 91 is not prime"), (2, 0, "extension degree n = 0 must be >= 1")]
+)
+def test_field_order_shares_the_checks_of_make_field(p, n, message):
+    for build in (field_order, make_field):
+        with pytest.raises(ValueError) as err:
+            build(p, n)
+        assert str(err.value) == message
+
+
+def test_field_order_builds_no_tables():
+    assert field_order(2, 17) == 131072  # past the table cap, where make_field refuses
+    assert field_order(3, 2) == make_field(3, 2).q == 9
 
 
 def test_reducible_modulus_rejected():
