@@ -8,16 +8,20 @@ identity, for every field.
 
 Multiplication, inversion and negation (multiplication by handle p - 1,
 which is -1) go through discrete-log/antilog tables for fields up to a
-configurable size cap; addition in extension fields uses a
+configurable size cap.  In characteristic 2 a handle is a GF(2) bit
+vector, so addition and subtraction are XOR and negation is the
+identity; addition in odd-characteristic extension fields uses a
 Zech-logarithm table.  The tables come from the smallest generator of
-the unit group, found and tabulated in one walk of its powers.  Prime
+the unit group, found and tabulated in one walk of its powers (a
+carry-less shift-XOR product for p = 2, digit lists for odd p).  Prime
 fields above the cap fall back to direct modular arithmetic; extension
-fields above the cap are refused.
+fields above the cap are refused before any modulus is searched for.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from itertools import product
 
 FqElem = int
@@ -58,7 +62,8 @@ class FieldCtx:
     """Immutable description of GF(p^n) plus its operation tables.
 
     Safe to share across worker processes: all fields are plain data and
-    every operation is pure.
+    every operation is pure.  Characteristic 2 adds by XOR; odd-p
+    extension fields add through the Zech table.
     """
 
     p: int
@@ -67,9 +72,11 @@ class FieldCtx:
     modulus: tuple[int, ...]  # monic, degree n, least-significant first
     exp_table: tuple[int, ...] | None  # g^i for i in [0, 2(q-1)); None above cap
     log_table: tuple[int, ...] | None  # discrete log base g; entry 0 is -1
-    zech_table: tuple[int, ...] | None  # log(1 + g^k); extension fields only
+    zech_table: tuple[int, ...] | None  # log(1 + g^k); odd-p extension fields only
 
     def add(self, a: FqElem, b: FqElem) -> FqElem:
+        if self.p == 2:
+            return a ^ b
         if self.n == 1:
             return (a + b) % self.p
         if a == 0:
@@ -87,9 +94,13 @@ class FieldCtx:
         return self.exp_table[i + z]
 
     def neg(self, a: FqElem) -> FqElem:
+        if self.p == 2:
+            return a
         return self.mul(a, self.p - 1)  # handle p - 1 is -1 in every GF(p^n)
 
     def sub(self, a: FqElem, b: FqElem) -> FqElem:
+        if self.p == 2:
+            return a ^ b
         if self.n == 1:
             return (a - b) % self.p
         return self.add(a, self.neg(b))
@@ -174,6 +185,23 @@ def _slow_mul(a: int, b: int, modulus: tuple[int, ...], p: int, n: int) -> int:
     return _undigits(rem, p)
 
 
+def _gf2_mul(a: int, b: int, modulus: int, n: int) -> int:
+    """Carry-less product a * b in GF(2^n), handles as bit vectors.
+
+    For each set bit of b the running shift of a is XORed in; a shift
+    that reaches t^n is reduced by XORing in the modulus bits.
+    """
+    out = 0
+    while b:
+        if b & 1:
+            out ^= a
+        b >>= 1
+        a <<= 1
+        if a >> n:
+            a ^= modulus
+    return out
+
+
 def _is_irreducible_gfp(poly: list[int], p: int) -> bool:
     """Trial division by every monic polynomial of degree 1..deg//2."""
     deg = len(poly) - 1
@@ -207,14 +235,18 @@ def _build_tables(
     powers until they return to 1.  Every order divides q - 1, so the
     first walk that passes through all q - 1 units is the generator's,
     and that walk is the exp table.  q == 2 keeps exp == [1]: the
-    trivial group.
+    trivial group.  Only odd-p extension fields get a Zech table.
     """
+    if p == 2:
+        mul = partial(_gf2_mul, modulus=sum(c << i for i, c in enumerate(modulus)), n=n)
+    else:
+        mul = partial(_slow_mul, modulus=modulus, p=p, n=n)
     exp = [1]
     for g in range(2, q):
         exp, x = [1], g
         while x != 1:
             exp.append(x)
-            x = x * g % p if n == 1 else _slow_mul(x, g, modulus, p, n)
+            x = x * g % p if n == 1 else mul(x, g)
         if len(exp) == q - 1:
             break
     exp += exp
@@ -224,7 +256,7 @@ def _build_tables(
         log[exp[i]] = i
 
     zech = None
-    if n > 1:
+    if n > 1 and p > 2:
         # 1 + h adds 1 to the lowest base-p digit of handle h; log[0]
         # holds the marker for 1 + g^k == 0
         zech = tuple(log[h - h % p + (h + 1) % p] for h in exp[: q - 1])
@@ -245,6 +277,11 @@ def make_field(
     verified irreducible.
     """
     q = field_order(p, n)
+    if q > table_cap and n > 1:
+        raise ValueError(
+            f"q = {q} exceeds the table cap {table_cap}; "
+            "extension fields require tables"
+        )
 
     if modulus is None:
         mod = _default_modulus(p, n)
@@ -256,11 +293,6 @@ def make_field(
             raise ValueError("modulus is reducible over GF(p)")
 
     if q > table_cap:
-        if n > 1:
-            raise ValueError(
-                f"q = {q} exceeds the table cap {table_cap}; "
-                "extension fields require tables"
-            )
         return FieldCtx(p, n, q, mod, None, None, None)
 
     exp, log, zech = _build_tables(p, n, q, mod)

@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import hashlib
 import math
+from functools import cache
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fqdyn import ffield
 from fqdyn.ffield import DEFAULT_TABLE_CAP, FieldCtx, field_order, is_prime, make_field
 
 from oracles import oracle_add, oracle_mul
@@ -142,7 +145,10 @@ def test_tables_walk_the_smallest_generator():
             assert all(exp[i + 1] == oracle_mul(exp[i], g, p, n, f.modulus) for i in range(q - 2))
         # g^i generates exactly when gcd(i, q - 1) == 1: no smaller handle does
         assert not any(math.gcd(log[h], q - 1) == 1 for h in range(2, g))
-        if n > 1:
+        if p == 2:
+            assert f.zech_table is None
+            assert all(f.add(1, exp[k]) == oracle_add(1, exp[k], p, n) for k in range(q - 1))
+        elif n > 1:
             sums = [oracle_add(1, exp[k], p, n) for k in range(q - 1)]
             assert list(f.zech_table) == [log[s] if s else -1 for s in sums]
         assert all(f.add(a, f.neg(a)) == 0 for a in range(q))
@@ -174,6 +180,17 @@ def test_above_cap_prime_uses_direct_arithmetic():
 def test_above_cap_extension_rejected():
     with pytest.raises(ValueError):
         make_field(2, 17)  # 2^17 > 2^16
+
+
+def test_above_cap_extension_refused_before_modulus_search(monkeypatch):
+    def fail(*args):
+        raise AssertionError("modulus searched for or verified")
+
+    monkeypatch.setattr(ffield, "_default_modulus", fail)
+    monkeypatch.setattr(ffield, "_is_irreducible_gfp", fail)
+    for p, n, modulus in [(2, 24, None), (3, 16, None), (2, 20, [1, 1, 0, 0, 1] + [0] * 15 + [1])]:
+        with pytest.raises(ValueError, match="exceeds the table cap"):
+            make_field(p, n, modulus=modulus)
 
 
 def test_table_cap_boundary_is_inclusive():
@@ -251,3 +268,41 @@ def test_prime_tables_match_modular_arithmetic(a: int, b: int):
 
 
 _GF10007 = make_field(10007)
+
+
+@cache
+def _gf2(n: int) -> FieldCtx:
+    return make_field(2, n)
+
+
+def _digest(table: tuple[int, ...]) -> str:
+    return hashlib.sha256(",".join(map(str, table)).encode()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize(
+    "n, modulus_bits, g, exp_digest, log_digest",
+    [
+        (13, (0, 9, 10, 12, 13), 2, "a6a5eed09e1114f5", "2029c7fd3597a4e5"),
+        (14, (0, 9, 14), 7, "162cf2ed8c93b941", "b35600ce25c87e24"),
+        (15, (0, 14, 15), 2, "c6257d46ca33850a", "cf160e7135d68185"),
+        (16, (0, 11, 13, 15, 16), 6, "fe8723fd7cd3cc41", "a7463f11efd1de1b"),
+    ],
+)
+def test_tables_above_the_sweep_are_pinned(n, modulus_bits, g, exp_digest, log_digest):
+    # digests of the tables the digit walk (_slow_mul) builds; the shift-XOR walk must match them
+    f = _gf2(n)
+    assert f.modulus == tuple(int(i in modulus_bits) for i in range(n + 1))
+    assert f.exp_table[1] == g
+    assert (_digest(f.exp_table), _digest(f.log_table)) == (exp_digest, log_digest)
+    assert f.zech_table is None
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([14, 16]), st.data())
+def test_xor_addition_gf2_14_and_gf2_16(n: int, data):
+    f = _gf2(n)
+    a, b, c = (data.draw(st.integers(0, f.q - 1)) for _ in range(3))
+    assert f.add(a, b) == oracle_add(a, b, 2, n)
+    assert f.sub(a, b) == f.add(a, b) and f.neg(a) == a
+    assert f.mul(a, b) == oracle_mul(a, b, 2, n, f.modulus)
+    assert f.mul(a, f.add(b, c)) == f.add(f.mul(a, b), f.mul(a, c))
