@@ -6,16 +6,16 @@ stands for the residue sum(d_i * t**i) modulo the defining polynomial.
 Handle 0 is the additive identity and handle 1 the multiplicative
 identity, for every field.
 
-Multiplication, inversion and negation (multiplication by handle p - 1,
-which is -1) go through discrete-log/antilog tables for fields up to a
-configurable size cap.  In characteristic 2 a handle is a GF(2) bit
-vector, so addition and subtraction are XOR and negation is the
-identity; addition in odd-characteristic extension fields uses a
-Zech-logarithm table.  The tables come from the smallest generator of
-the unit group, found and tabulated in one walk of its powers (a
-carry-less shift-XOR product for p = 2, digit lists for odd p).  Prime
-fields above the cap fall back to direct modular arithmetic; extension
-fields above the cap are refused before any modulus is searched for.
+Multiplication and inversion go through discrete-log/antilog tables for
+fields up to a configurable size cap.  In characteristic 2 a handle is
+a GF(2) bit vector, so addition and subtraction are XOR and negation is
+the identity; for odd p negation multiplies by handle p - 1, which is
+-1, and addition in extension fields uses a Zech-logarithm table.  The
+tables come from the smallest generator of the unit group, found and
+tabulated in one walk of its powers (a carry-less shift-XOR product for
+p = 2, digit lists for odd p).  Prime fields above the cap fall back to
+direct modular arithmetic; extension fields above the cap are refused
+before any modulus is searched for.
 """
 
 from __future__ import annotations
