@@ -95,15 +95,8 @@ def enumerate_quadratic_graphs(m: int, t: int) -> Iterator[FunctionalGraph]:
             yield FunctionalGraph(size, tuple(image[lab] for lab in labels))
 
 
-def sample_quadratic_graph(m: int, t: int, seed: int) -> FunctionalGraph:
-    """Uniform over the labeled in-degree-{0, m} family; deterministic
-    given seed."""
-    if m < 1 or t < 1:
-        raise ValueError("need m >= 1 and t >= 1")
-    return _quadratic_graph(m, t, per_index_rng(seed, 0))
-
-
 def _quadratic_graph(m: int, t: int, rng) -> FunctionalGraph:
+    """Uniform over the labeled in-degree-{0, m} family, drawn from rng."""
     size = m * t
     image = sorted(rng.sample(range(size), t))
     labels = [i for i in range(t) for _ in range(m)]

@@ -787,26 +787,6 @@ def rat_cycle_totals_at_most(
 # --- brute-force oracles for the closed-form counting arguments -----------------
 
 
-def count_cycle_givers(ctx: FieldCtx, d: int, cycle: Sequence[FqElem]) -> int:
-    """Number of polynomials of degree <= d realizing the given cycle
-    (alpha_0 -> alpha_1 -> ... -> alpha_0), by brute force.
-
-    For cycle length k <= d+1 this must come out to q^(d+1-k); callers
-    assert that contract.
-    """
-    k = len(cycle)
-    if k == 0:
-        raise ValueError("cycle must be nonempty")
-    if len(set(cycle)) != k:
-        raise ValueError("cycle elements must be distinct")
-    count = 0
-    for i in range(poly_at_most_count(ctx, d)):
-        f = poly_at_most_at(ctx, d, i)
-        if all(eval_poly(ctx, f, cycle[j]) == cycle[(j + 1) % k] for j in range(k)):
-            count += 1
-    return count
-
-
 def _is_irreducible_poly(ctx: FieldCtx, f: Poly) -> bool:
     """Trial division over monic polynomials of degree 1..deg(f)//2."""
     deg = len(f) - 1
@@ -946,6 +926,8 @@ def rho_experiment(
 ) -> RhoSummary:
     """Sampled tail/cycle lengths via Brent iteration, no graphs built."""
     fam = _family(family)
+    if d < 0:
+        raise ValueError("degree must be >= 0")
     if samples < 1:
         raise ValueError("samples must be >= 1")
     # a walk never visits more than the whole space, so budget on that

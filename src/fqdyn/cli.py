@@ -84,6 +84,8 @@ def _int_at_least(low: int, what: str):
 
 _worker_count = _int_at_least(1, "worker count")
 _cycle_length_cap = _int_at_least(0, "cycle length cap")
+_max_degree = _int_at_least(0, "maximum degree")
+_instance_count = _int_at_least(1, "instance count")
 
 
 def _add_field_flags(p: argparse.ArgumentParser) -> None:
@@ -122,23 +124,24 @@ def build_parser() -> argparse.ArgumentParser:
 
     vlp = vsubs.add_parser("lemma-polys", help="k-cycle totals over polynomials")
     _add_field_flags(vlp)
-    vlp.add_argument("--dmax", type=int, required=True)
+    vlp.add_argument("--dmax", type=_max_degree, required=True)
     _add_common_flags(vlp)
 
     vrc = vsubs.add_parser("rat-count", help="rational map counts")
     _add_field_flags(vrc)
-    vrc.add_argument("--dmax", type=int, required=True)
+    vrc.add_argument("--dmax", type=_max_degree, required=True)
     _add_common_flags(vrc)
 
     vpr = vsubs.add_parser("prov", help="interpolation-family counts vs case table")
     _add_field_flags(vpr)
-    vpr.add_argument("--instances", type=int, default=200)
+    vpr.add_argument("--instances", type=_instance_count, default=200)
     vpr.add_argument("--seed", type=int, default=0)
     _add_common_flags(vpr)
 
     vcb = vsubs.add_parser("cycle-bounds", help="rational k-cycle total sandwich")
     _add_field_flags(vcb)
-    vcb.add_argument("--dmax", type=int, required=True)
+    # the sandwich bounds start at d = 1
+    vcb.add_argument("--dmax", type=_int_at_least(1, "maximum degree"), required=True)
     _add_common_flags(vcb)
 
     base = subs.add_parser("baseline", help="reference graph families")
@@ -273,11 +276,14 @@ def _cmd_verify_rat_count(args, jobs: int):
 
 def _cmd_verify_prov(args, jobs: int):
     ctx = _field(args)
+    instances = [random_constraint_instance(ctx, per_index_rng(args.seed, i)) for i in range(args.instances)]
+    # enumerate_S walks the q^deg(g0 g1) monic candidates of each instance
+    walked = sum(ctx.q ** (len(g0) + len(g1) - 2) for g0, g1, _, _ in instances)
+    what = f"counting {args.instances} interpolation families over q={ctx.q}"
+    _check_budget(walked, args.budget, what, "lower --instances")
     checks = []
     case_tally = {"exactly": 0, "at_most_one": 0}
-    for i in range(args.instances):
-        rng = per_index_rng(args.seed, i)
-        g0, g1, betas, gammas = random_constraint_instance(ctx, rng)
+    for i, (g0, g1, betas, gammas) in enumerate(instances):
         case, exponent = solution_count_case(ctx, g0, g1, betas)
         count = enumerate_S(ctx, g0, g1, betas, gammas)
         if case == "exactly":

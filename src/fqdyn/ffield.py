@@ -7,7 +7,7 @@ Handle 0 is the additive identity and handle 1 the multiplicative
 identity, for every field.
 
 Multiplication and inversion go through discrete-log/antilog tables for
-fields up to a configurable size cap.  In characteristic 2 a handle is
+fields up to TABLE_CAP elements.  In characteristic 2 a handle is
 a GF(2) bit vector, so addition and subtraction are XOR and negation is
 the identity; for odd p negation multiplies by handle p - 1, which is
 -1, and addition in extension fields uses a Zech-logarithm table.  The
@@ -26,7 +26,7 @@ from itertools import product
 
 FqElem = int
 
-DEFAULT_TABLE_CAP = 1 << 16
+TABLE_CAP = 1 << 16
 
 # zech[k] value marking 1 + g^k == 0 (k is the "minus infinity" slot).
 _ZECH_NONE = -1
@@ -132,10 +132,6 @@ class FieldCtx:
     def elements(self) -> range:
         """All q element handles exactly once, in handle order."""
         return range(self.q)
-
-    def to_spec(self) -> dict:
-        """Serializable field description: (p, n, modulus coefficients)."""
-        return {"p": self.p, "n": self.n, "modulus": list(self.modulus)}
 
 
 # Digit-vector arithmetic over GF(p), used for construction and as the
@@ -263,36 +259,21 @@ def _build_tables(
     return tuple(exp), tuple(log), zech
 
 
-def make_field(
-    p: int,
-    n: int = 1,
-    modulus: list[int] | tuple[int, ...] | None = None,
-    table_cap: int = DEFAULT_TABLE_CAP,
-) -> FieldCtx:
+def make_field(p: int, n: int = 1) -> FieldCtx:
     """Construct GF(p^n).
 
-    If no modulus is given, the lexicographically smallest monic
-    irreducible of degree n over GF(p) is selected, so construction is
-    deterministic.  A supplied modulus must be monic of degree n and is
-    verified irreducible.
+    The modulus is the lexicographically smallest monic irreducible of
+    degree n over GF(p), so construction is deterministic.
     """
     q = field_order(p, n)
-    if q > table_cap and n > 1:
+    if q > TABLE_CAP and n > 1:
         raise ValueError(
-            f"q = {q} exceeds the table cap {table_cap}; "
+            f"q = {q} exceeds the table cap {TABLE_CAP}; "
             "extension fields require tables"
         )
 
-    if modulus is None:
-        mod = _default_modulus(p, n)
-    else:
-        mod = tuple(c % p for c in modulus)
-        if len(mod) != n + 1 or mod[-1] != 1:
-            raise ValueError(f"modulus must be monic of degree {n}")
-        if not _is_irreducible_gfp(list(mod), p):
-            raise ValueError("modulus is reducible over GF(p)")
-
-    if q > table_cap:
+    mod = _default_modulus(p, n)
+    if q > TABLE_CAP:
         return FieldCtx(p, n, q, mod, None, None, None)
 
     exp, log, zech = _build_tables(p, n, q, mod)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Sequence, TypeVar
+from typing import Callable, TypeVar
 
 from .ffield import FieldCtx
 from .fmaps import Poly, RationalMap, eval_poly, eval_rational
@@ -33,7 +33,6 @@ class FunctionalGraph:
 @dataclass(frozen=True)
 class CycleStats:
     component_count: int
-    cycle_lengths: tuple[int, ...]  # sorted ascending
     periodic_count: int
     k_cycle_counts: dict[int, int]
 
@@ -49,15 +48,6 @@ def build_graph(ctx: FieldCtx, m: Poly | RationalMap) -> FunctionalGraph:
     else:
         size = ctx.q
         succ = tuple(eval_poly(ctx, m, x) for x in range(size))
-    return FunctionalGraph(size, succ)
-
-
-def graph_from_succ(succ: Sequence[int]) -> FunctionalGraph:
-    succ = tuple(succ)
-    size = len(succ)
-    for v in succ:
-        if not 0 <= v < size:
-            raise ValueError(f"successor {v} out of range for size {size}")
     return FunctionalGraph(size, succ)
 
 
@@ -85,10 +75,8 @@ def cycle_census(g: FunctionalGraph) -> CycleStats:
             while u != v:
                 length, u = length + 1, succ[u]
             lengths.append(length)
-    lengths.sort()
     return CycleStats(
         component_count=len(lengths),
-        cycle_lengths=tuple(lengths),
         periodic_count=sum(lengths),
         k_cycle_counts=dict(Counter(lengths)),
     )

@@ -12,10 +12,6 @@ Rational maps are kept in canonical form: numerator and denominator
 coprime, denominator monic.  The constant map sending everything to
 infinity is the distinguished canonical pair num=(1,), den=() and also
 has degree 0.
-
-Moebius transformations x -> (ax+b)/(cx+d) are 4-tuples (a, b, c, d)
-with nonzero determinant, scaled so the first nonzero entry is 1, which
-picks one representative per projective class.
 """
 
 from __future__ import annotations
@@ -27,7 +23,6 @@ from .ffield import FieldCtx, FqElem
 
 Poly = tuple[FqElem, ...]
 ProjPoint = int
-Mobius = tuple[FqElem, FqElem, FqElem, FqElem]
 
 EnumMode = Literal["exactly", "at_most"]
 
@@ -50,15 +45,6 @@ def eval_poly(ctx: FieldCtx, f: Poly, x: FqElem) -> FqElem:
     for c in reversed(f):
         acc = ctx.add(ctx.mul(acc, x), c)
     return acc
-
-
-def poly_add(ctx: FieldCtx, f: Poly, g: Poly) -> Poly:
-    if len(f) < len(g):
-        f, g = g, f
-    out = list(f)
-    for i, c in enumerate(g):
-        out[i] = ctx.add(out[i], c)
-    return normalize_poly(out)
 
 
 def poly_scale(ctx: FieldCtx, c: FqElem, f: Poly) -> Poly:
@@ -123,11 +109,6 @@ class RationalMap:
     def degree(self) -> int:
         return max(poly_degree(self.num), poly_degree(self.den))
 
-    def to_jsonable(self) -> dict | str:
-        if self.is_constant_infinity:
-            return "INF"
-        return {"num": list(self.num), "den": list(self.den)}
-
 
 CONSTANT_INFINITY = RationalMap(num=(1,), den=())
 
@@ -151,10 +132,6 @@ def canonicalize_rational(ctx: FieldCtx, num: Sequence[FqElem], den: Sequence[Fq
         n = poly_scale(ctx, s, n)
         d = poly_scale(ctx, s, d)
     return RationalMap(n, d)
-
-
-def poly_to_rational(f: Poly) -> RationalMap:
-    return RationalMap(normalize_poly(f), (1,))
 
 
 def eval_rational(ctx: FieldCtx, r: RationalMap, x: ProjPoint) -> ProjPoint:
@@ -263,114 +240,3 @@ def enumerate_rationals(ctx: FieldCtx, d: int, mode: EnumMode = "exactly") -> It
                 yield RationalMap(num, den)
     if mode == "at_most" or d == 0:
         yield CONSTANT_INFINITY
-
-
-def interpolate(ctx: FieldCtx, points: Sequence[tuple[FqElem, FqElem]]) -> Poly:
-    """Lagrange interpolation through points with distinct abscissae."""
-    xs = [x for x, _ in points]
-    if len(set(xs)) != len(xs):
-        raise ValueError("duplicate abscissae")
-    result: Poly = ()
-    for i, (xi, yi) in enumerate(points):
-        if yi == 0:
-            continue
-        basis: Poly = (1,)
-        denom = 1
-        for j, (xj, _) in enumerate(points):
-            if j == i:
-                continue
-            basis = poly_mul(ctx, basis, (ctx.neg(xj), 1))
-            denom = ctx.mul(denom, ctx.sub(xi, xj))
-        result = poly_add(ctx, result, poly_scale(ctx, ctx.mul(yi, ctx.inv(denom)), basis))
-    return result
-
-
-# Moebius transformations and conjugation.
-
-
-def mobius_canonical(ctx: FieldCtx, m: Sequence[FqElem]) -> Mobius:
-    a, b, c, d = m
-    det = ctx.sub(ctx.mul(a, d), ctx.mul(b, c))
-    if det == 0:
-        raise ValueError("Moebius transformation must have nonzero determinant")
-    for lead in (a, b, c, d):
-        if lead:
-            s = ctx.inv(lead)
-            return (ctx.mul(s, a), ctx.mul(s, b), ctx.mul(s, c), ctx.mul(s, d))
-    raise AssertionError("unreachable: zero tuple has zero determinant")
-
-
-def mobius_inverse(ctx: FieldCtx, m: Mobius) -> Mobius:
-    a, b, c, d = m
-    return mobius_canonical(ctx, (d, ctx.neg(b), ctx.neg(c), a))
-
-
-def mobius_apply(ctx: FieldCtx, m: Mobius, x: ProjPoint) -> ProjPoint:
-    a, b, c, d = m
-    inf = ctx.q
-    if x == inf:
-        if c == 0:
-            return inf
-        return ctx.mul(a, ctx.inv(c))
-    denom = ctx.add(ctx.mul(c, x), d)
-    if denom == 0:
-        return inf
-    return ctx.mul(ctx.add(ctx.mul(a, x), b), ctx.inv(denom))
-
-
-def enumerate_mobius(ctx: FieldCtx) -> Iterator[Mobius]:
-    """All q^3 - q canonical transformations, deterministic order."""
-    q = ctx.q
-    # first nonzero entry is 1: either a = 1, or a = 0 and b = 1
-    for b in range(q):
-        for c in range(q):
-            for d in range(q):
-                if ctx.sub(d, ctx.mul(b, c)) != 0:
-                    yield (1, b, c, d)
-    for c in range(1, q):  # a = 0, b = 1: determinant is -c
-        for d in range(q):
-            yield (0, 1, c, d)
-
-
-def _substitute_mobius(ctx: FieldCtx, f: Poly, lin_num: Poly, lin_den: Poly, e: int) -> Poly:
-    """Homogenized substitution sum_i f_i * lin_num^i * lin_den^(e-i)."""
-    acc: Poly = ()
-    num_pow: Poly = (1,)
-    den_pows = [(1,)]
-    for _ in range(e):
-        den_pows.append(poly_mul(ctx, den_pows[-1], lin_den))
-    for i in range(e + 1):
-        c = f[i] if i < len(f) else 0
-        if c:
-            term = poly_scale(ctx, c, poly_mul(ctx, num_pow, den_pows[e - i]))
-            acc = poly_add(ctx, acc, term)
-        if i < e:
-            num_pow = poly_mul(ctx, num_pow, lin_num)
-    return acc
-
-
-def conjugate(ctx: FieldCtx, r: RationalMap, phi: Sequence[FqElem]) -> RationalMap:
-    """The map phi o r o phi^(-1), canonicalized; degree is preserved."""
-    m = mobius_canonical(ctx, phi)
-    a, b, c, d = m
-    if r.is_constant_infinity:
-        # everything lands on phi(infinity)
-        image = mobius_apply(ctx, m, ctx.q)
-        if image == ctx.q:
-            return CONSTANT_INFINITY
-        return RationalMap((image,) if image else (), (1,))
-    ia, ib, ic, id_ = mobius_inverse(ctx, m)
-    e = r.degree
-    lin_num = normalize_poly((ib, ia))  # phi^(-1) numerator:   ia*x + ib
-    lin_den = normalize_poly((id_, ic))  # phi^(-1) denominator: ic*x + id
-    n1 = _substitute_mobius(ctx, r.num, lin_num, lin_den, e)
-    d1 = _substitute_mobius(ctx, r.den, lin_num, lin_den, e)
-    out_num = poly_add(ctx, poly_scale(ctx, a, n1), poly_scale(ctx, b, d1))
-    out_den = poly_add(ctx, poly_scale(ctx, c, n1), poly_scale(ctx, d, d1))
-    result = canonicalize_rational(ctx, out_num, out_den)
-    if result.degree != r.degree:
-        raise AssertionError(
-            f"conjugation changed degree {r.degree} -> {result.degree}; "
-            "this is a bug, not valid data"
-        )
-    return result

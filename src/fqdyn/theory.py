@@ -263,14 +263,6 @@ class RandomMapStats:
     periodic_exact: Fraction
     periodic_asymptotic: float
 
-    def to_jsonable(self) -> dict:
-        return {
-            "components_exact": frac_json(self.components_exact),
-            "components_asymptotic": self.components_asymptotic,
-            "periodic_exact": frac_json(self.periodic_exact),
-            "periodic_asymptotic": self.periodic_asymptotic,
-        }
-
 
 def random_components_asymptotic(n: int) -> float:
     """Large-n mean component count of a random self-map."""
@@ -321,12 +313,6 @@ class QuadGraphStats:
 
     graph_count: int
     avg_periodic: Fraction
-
-    def to_jsonable(self) -> dict:
-        return {
-            "graph_count": self.graph_count,
-            "avg_periodic": frac_json(self.avg_periodic),
-        }
 
 
 def quad_graph_stats(m: int, t: int) -> QuadGraphStats:

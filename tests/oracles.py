@@ -1,15 +1,37 @@
 """Independent brute-force oracles used only by the test suite.
 
-Everything here is written naively and separately from the library so
-that agreement between the two is meaningful.  Values are handles and
-structures in the same encodings the library uses, but none of the
+Most oracles here are written naively and separately from the library
+so that agreement between the two is meaningful.  Values are handles
+and structures in the same encodings the library uses, but none of the
 library's arithmetic shortcuts (discrete-log tables, Zech logs, path
-marking) appear here.
+marking) appear in them.
+
+The helpers at the end of the file, count_cycle_givers and the Moebius
+and conjugation block, are references of another kind: they use the
+library's field arithmetic (FieldCtx), polynomial helpers and canonical
+forms (canonicalize_rational), and check statements about maps rather
+than the arithmetic itself.  No command or benchmark runs them.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import Iterator, Sequence
+
+from fqdyn.ffield import FieldCtx, FqElem
+from fqdyn.fmaps import (
+    CONSTANT_INFINITY,
+    Poly,
+    ProjPoint,
+    RationalMap,
+    canonicalize_rational,
+    eval_poly,
+    normalize_poly,
+    poly_at_most_at,
+    poly_at_most_count,
+    poly_mul,
+    poly_scale,
+)
 
 
 def digits(a: int, p: int, n: int) -> list[int]:
@@ -136,3 +158,128 @@ def harmonic_like_sum(n: int, weight_extra_n: bool) -> Fraction:
         else:
             total += term / k
     return total
+
+
+def count_cycle_givers(ctx: FieldCtx, d: int, cycle: Sequence[FqElem]) -> int:
+    """Number of polynomials of degree <= d realizing the given cycle
+    (alpha_0 -> alpha_1 -> ... -> alpha_0), by brute force.
+
+    For cycle length k <= d+1 this must come out to q^(d+1-k); callers
+    assert that contract.
+    """
+    k = len(cycle)
+    if k == 0:
+        raise ValueError("cycle must be nonempty")
+    if len(set(cycle)) != k:
+        raise ValueError("cycle elements must be distinct")
+    count = 0
+    for i in range(poly_at_most_count(ctx, d)):
+        f = poly_at_most_at(ctx, d, i)
+        if all(eval_poly(ctx, f, cycle[j]) == cycle[(j + 1) % k] for j in range(k)):
+            count += 1
+    return count
+
+
+# Moebius transformations and conjugation.  A transformation
+# x -> (ax+b)/(cx+d) is a 4-tuple (a, b, c, d) with nonzero determinant,
+# scaled so the first nonzero entry is 1, which picks one representative
+# per projective class.
+
+Mobius = tuple[FqElem, FqElem, FqElem, FqElem]
+
+
+def poly_add(ctx: FieldCtx, f: Poly, g: Poly) -> Poly:
+    if len(f) < len(g):
+        f, g = g, f
+    out = list(f)
+    for i, c in enumerate(g):
+        out[i] = ctx.add(out[i], c)
+    return normalize_poly(out)
+
+
+def mobius_canonical(ctx: FieldCtx, m: Sequence[FqElem]) -> Mobius:
+    a, b, c, d = m
+    det = ctx.sub(ctx.mul(a, d), ctx.mul(b, c))
+    if det == 0:
+        raise ValueError("Moebius transformation must have nonzero determinant")
+    for lead in (a, b, c, d):
+        if lead:
+            s = ctx.inv(lead)
+            return (ctx.mul(s, a), ctx.mul(s, b), ctx.mul(s, c), ctx.mul(s, d))
+    raise AssertionError("unreachable: zero tuple has zero determinant")
+
+
+def mobius_inverse(ctx: FieldCtx, m: Mobius) -> Mobius:
+    a, b, c, d = m
+    return mobius_canonical(ctx, (d, ctx.neg(b), ctx.neg(c), a))
+
+
+def mobius_apply(ctx: FieldCtx, m: Mobius, x: ProjPoint) -> ProjPoint:
+    a, b, c, d = m
+    inf = ctx.q
+    if x == inf:
+        if c == 0:
+            return inf
+        return ctx.mul(a, ctx.inv(c))
+    denom = ctx.add(ctx.mul(c, x), d)
+    if denom == 0:
+        return inf
+    return ctx.mul(ctx.add(ctx.mul(a, x), b), ctx.inv(denom))
+
+
+def enumerate_mobius(ctx: FieldCtx) -> Iterator[Mobius]:
+    """All q^3 - q canonical transformations, deterministic order."""
+    q = ctx.q
+    # first nonzero entry is 1: either a = 1, or a = 0 and b = 1
+    for b in range(q):
+        for c in range(q):
+            for d in range(q):
+                if ctx.sub(d, ctx.mul(b, c)) != 0:
+                    yield (1, b, c, d)
+    for c in range(1, q):  # a = 0, b = 1: determinant is -c
+        for d in range(q):
+            yield (0, 1, c, d)
+
+
+def _substitute_mobius(ctx: FieldCtx, f: Poly, lin_num: Poly, lin_den: Poly, e: int) -> Poly:
+    """Homogenized substitution sum_i f_i * lin_num^i * lin_den^(e-i)."""
+    acc: Poly = ()
+    num_pow: Poly = (1,)
+    den_pows = [(1,)]
+    for _ in range(e):
+        den_pows.append(poly_mul(ctx, den_pows[-1], lin_den))
+    for i in range(e + 1):
+        c = f[i] if i < len(f) else 0
+        if c:
+            term = poly_scale(ctx, c, poly_mul(ctx, num_pow, den_pows[e - i]))
+            acc = poly_add(ctx, acc, term)
+        if i < e:
+            num_pow = poly_mul(ctx, num_pow, lin_num)
+    return acc
+
+
+def conjugate(ctx: FieldCtx, r: RationalMap, phi: Sequence[FqElem]) -> RationalMap:
+    """The map phi o r o phi^(-1), canonicalized; degree is preserved."""
+    m = mobius_canonical(ctx, phi)
+    a, b, c, d = m
+    if r.is_constant_infinity:
+        # everything lands on phi(infinity)
+        image = mobius_apply(ctx, m, ctx.q)
+        if image == ctx.q:
+            return CONSTANT_INFINITY
+        return RationalMap((image,) if image else (), (1,))
+    ia, ib, ic, id_ = mobius_inverse(ctx, m)
+    e = r.degree
+    lin_num = normalize_poly((ib, ia))  # phi^(-1) numerator:   ia*x + ib
+    lin_den = normalize_poly((id_, ic))  # phi^(-1) denominator: ic*x + id
+    n1 = _substitute_mobius(ctx, r.num, lin_num, lin_den, e)
+    d1 = _substitute_mobius(ctx, r.den, lin_num, lin_den, e)
+    out_num = poly_add(ctx, poly_scale(ctx, a, n1), poly_scale(ctx, b, d1))
+    out_den = poly_add(ctx, poly_scale(ctx, c, n1), poly_scale(ctx, d, d1))
+    result = canonicalize_rational(ctx, out_num, out_den)
+    if result.degree != r.degree:
+        raise AssertionError(
+            f"conjugation changed degree {r.degree} -> {result.degree}; "
+            "this is a bug, not valid data"
+        )
+    return result

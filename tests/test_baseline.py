@@ -9,14 +9,15 @@ import pytest
 
 from fqdyn.baseline import (
     RANDOM_EXHAUSTIVE_MAX_N,
+    _quadratic_graph,
     baseline_census,
     enumerate_quadratic_graphs,
     exhaustive_random_stats,
-    sample_quadratic_graph,
     sample_random_map,
 )
 from fqdyn.census import BudgetError
 from fqdyn.fgraph import cycle_census
+from fqdyn.seeding import per_index_rng
 from fqdyn.theory import quad_graph_stats, random_map_stats
 
 
@@ -105,8 +106,8 @@ class TestSamplers:
             assert abs(counts[v] - 1000) < 5 * 30
 
     def test_quadratic_sample_valid(self):
-        g = sample_quadratic_graph(2, 5, 7)
-        assert g == sample_quadratic_graph(2, 5, 7)
+        g = _quadratic_graph(2, 5, per_index_rng(7, 0))
+        assert g == _quadratic_graph(2, 5, per_index_rng(7, 0))
         indeg = Counter(g.succ)
         assert len(indeg) == 5 and all(v == 2 for v in indeg.values())
 
@@ -114,7 +115,7 @@ class TestSamplers:
         # all 36 graphs of the (2,2) family, each expected 2000/36 = 55.6
         # with sigma = sqrt(2000 * (1/36)(35/36)) = 7.35
         population = {g.succ for g in enumerate_quadratic_graphs(2, 2)}
-        counts = Counter(sample_quadratic_graph(2, 2, s).succ for s in range(2000))
+        counts = Counter(_quadratic_graph(2, 2, per_index_rng(s, 0)).succ for s in range(2000))
         assert set(counts) <= population
         assert len(counts) == 36
         for c in counts.values():

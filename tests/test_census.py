@@ -11,7 +11,6 @@ from fqdyn import census
 from fqdyn.census import (
     BudgetError,
     compare,
-    count_cycle_givers,
     enumerate_S,
     mean_stderr,
     poly_census,
@@ -35,6 +34,8 @@ from fqdyn.theory import (
     rat_count,
     rat_k_cycle_total_bounds,
 )
+
+from oracles import count_cycle_givers
 
 F2 = make_field(2)
 F3 = make_field(3)

@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from fqdyn import cli
+from fqdyn import census, cli
 from fqdyn.census import RhoSummary
 
 
@@ -131,6 +131,18 @@ class TestVerifyCommands:
         code = cli.run(["verify", "rat-count", "--p", "3", "--dmax", "2", "--budget", "10", "--jobs", "1"])
         assert code == 2
         assert "36 map evaluations" in capsys.readouterr().err
+
+    def test_prov_budget_exit(self, monkeypatch, capsys):
+        # --budget used to be ignored: GF(31) with 3 instances ran for
+        # minutes; the budget is checked on the drawn instances, before any count
+        def count(*args):
+            raise AssertionError("interpolation family counted over budget")
+
+        monkeypatch.setattr(cli, "enumerate_S", count)
+        assert cli.run(["verify", "prov", "--p", "31", "--instances", "3", "--budget", "10"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: counting 3 interpolation families over q=31 needs ")
+        assert "over the budget of 10" in err
 
     def test_prov(self):
         code, out, err = run_cli("verify", "prov", "--p", "5", "--n", "1", "--instances", "30")
@@ -256,6 +268,18 @@ class TestRhoCommand:
         assert code == 2
         assert "1010 map evaluations" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("family", ["poly", "rat"])
+    def test_negative_degree_rejected(self, family, monkeypatch, capsys):
+        # a rational draw at d = -1 looped forever on the (0, 0) pair, and a
+        # polynomial one exited 0 with a constant-map report
+        def draw(*args):
+            raise AssertionError("maps drawn for a negative degree")
+
+        monkeypatch.setattr(census, "run_blocks", draw)
+        argv = ["rho", "--family", family, "--p", "5", "--d", "-1", "--samples", "3", "--jobs", "1"]
+        assert cli.run(argv) == 2
+        assert capsys.readouterr().err == "error: degree must be >= 0\n"
+
     def test_strict_flag_gatekeeping(self, monkeypatch, capsys):
         # exit 1 must track a "fail" status, which needs a band miss; fake
         # the experiment so the plumbing is observable
@@ -300,6 +324,20 @@ class TestUsageErrors:
         assert cli.run([command, "--p", "3", "--d", "2", "--kmax", "-1"]) == 2
         err = capsys.readouterr().err
         assert "argument --kmax: cycle length cap must be >= 0, got -1" in err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["lemma-polys", "--dmax", "-1"], "--dmax: maximum degree must be >= 0, got -1"),
+            (["rat-count", "--dmax", "-2"], "--dmax: maximum degree must be >= 0, got -2"),
+            (["cycle-bounds", "--dmax", "0"], "--dmax: maximum degree must be >= 1, got 0"),
+            (["prov", "--instances", "0"], "--instances: instance count must be >= 1, got 0"),
+        ],
+    )
+    def test_verify_empty_range_rejected(self, argv, message, capsys):
+        # each used to exit 0 with "checks": [] and "all_pass": true
+        assert cli.run(["verify", *argv, "--p", "3"]) == 2
+        assert f"argument {message}" in capsys.readouterr().err
 
     def test_kmax_zero_accepted(self, capsys):
         assert cli.run(["census", "--p", "3", "--d", "2", "--kmax", "0", "--jobs", "1"]) == 0

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fqdyn import ffield
-from fqdyn.ffield import DEFAULT_TABLE_CAP, FieldCtx, field_order, is_prime, make_field
+from fqdyn.ffield import TABLE_CAP, FieldCtx, field_order, is_prime, make_field
 
 from oracles import oracle_add, oracle_mul
 
@@ -68,18 +68,6 @@ def test_field_order_shares_the_checks_of_make_field(p, n, message):
 def test_field_order_builds_no_tables():
     assert field_order(2, 17) == 131072  # past the table cap, where make_field refuses
     assert field_order(3, 2) == make_field(3, 2).q == 9
-
-
-def test_reducible_modulus_rejected():
-    with pytest.raises(ValueError):
-        make_field(2, 2, modulus=[1, 0, 1])  # (t+1)^2
-
-
-def test_wrong_shape_modulus_rejected():
-    with pytest.raises(ValueError):
-        make_field(2, 2, modulus=[1, 1, 1, 1])  # degree 3, not 2
-    with pytest.raises(ValueError):
-        make_field(3, 2, modulus=[1, 1, 2])  # not monic
 
 
 def test_inv_zero_raises():
@@ -169,7 +157,7 @@ def test_pow_edge_cases():
 
 def test_above_cap_prime_uses_direct_arithmetic():
     p = 65537
-    assert p > DEFAULT_TABLE_CAP
+    assert p > TABLE_CAP
     f = make_field(p)
     assert f.exp_table is None and f.log_table is None
     assert f.mul(12345, 54321) == (12345 * 54321) % p
@@ -188,15 +176,17 @@ def test_above_cap_extension_refused_before_modulus_search(monkeypatch):
 
     monkeypatch.setattr(ffield, "_default_modulus", fail)
     monkeypatch.setattr(ffield, "_is_irreducible_gfp", fail)
-    for p, n, modulus in [(2, 24, None), (3, 16, None), (2, 20, [1, 1, 0, 0, 1] + [0] * 15 + [1])]:
+    for p, n in [(2, 24), (3, 16), (2, 20)]:
         with pytest.raises(ValueError, match="exceeds the table cap"):
-            make_field(p, n, modulus=modulus)
+            make_field(p, n)
 
 
-def test_table_cap_boundary_is_inclusive():
-    with_tables = make_field(251, table_cap=251)
+def test_table_cap_boundary_is_inclusive(monkeypatch):
+    monkeypatch.setattr(ffield, "TABLE_CAP", 251)
+    with_tables = make_field(251)
     assert with_tables.exp_table is not None
-    without = make_field(251, table_cap=250)
+    monkeypatch.setattr(ffield, "TABLE_CAP", 250)
+    without = make_field(251)
     assert without.exp_table is None
     for a, b in [(0, 0), (1, 250), (17, 99), (123, 200)]:
         assert with_tables.mul(a, b) == without.mul(a, b)
@@ -218,21 +208,6 @@ def test_default_modulus_is_lex_smallest():
     assert make_field(2, 2).modulus == (1, 1, 1)
     assert make_field(3, 2).modulus == (1, 0, 1)
     assert make_field(5, 1).modulus == (0, 1)
-
-
-def test_custom_modulus_accepted():
-    f = make_field(2, 3, modulus=[1, 1, 0, 1])  # t^3 + t + 1
-    assert f.modulus == (1, 1, 0, 1)
-    for a in f.elements():
-        for b in f.elements():
-            assert f.mul(a, b) == oracle_mul(a, b, 2, 3, f.modulus)
-
-
-def test_to_spec_roundtrip():
-    f = make_field(5, 2)
-    spec = f.to_spec()
-    g = make_field(spec["p"], spec["n"], modulus=spec["modulus"])
-    assert f == g
 
 
 def test_context_is_picklable():

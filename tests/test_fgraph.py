@@ -3,14 +3,12 @@
 from __future__ import annotations
 
 import random
-from collections import Counter
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fqdyn.ffield import make_field
-from fqdyn.fgraph import brent_rho, build_graph, cycle_census, graph_from_succ
+from fqdyn.fgraph import FunctionalGraph, brent_rho, build_graph, cycle_census
 from fqdyn.fmaps import CONSTANT_INFINITY, canonicalize_rational, enumerate_polys, enumerate_rationals
 
 from oracles import oracle_components, oracle_cycle_lengths, oracle_periodic_points, oracle_rho
@@ -29,27 +27,21 @@ def test_build_graph_examples():
     assert gi.succ == (5, 5, 5, 5, 5, 5)
 
 
-def test_graph_from_succ_validates():
-    with pytest.raises(ValueError):
-        graph_from_succ([0, 3])
-
-
 def test_cycle_census_examples():
     st_ = cycle_census(build_graph(F5, (0, 0, 1)))
     assert st_.component_count == 2
-    assert st_.cycle_lengths == (1, 1)
     assert st_.periodic_count == 2
     assert st_.k_cycle_counts == {1: 2}
 
     st_ = cycle_census(build_graph(F3, (1, 1)))  # x + 1, one 3-cycle
     assert st_.component_count == 1
-    assert st_.cycle_lengths == (3,)
     assert st_.periodic_count == 3
+    assert st_.k_cycle_counts == {3: 1}
 
     st_ = cycle_census(build_graph(F5, (2,)))  # constant
     assert st_.component_count == 1
-    assert st_.cycle_lengths == (1,)
     assert st_.periodic_count == 1
+    assert st_.k_cycle_counts == {1: 1}
 
 
 def test_rho_length_examples():
@@ -68,12 +60,11 @@ def test_stats_internal_invariants_exhaustive_small():
         for d in (0, 1, 2):
             for f in enumerate_polys(ctx, d, "exactly"):
                 s = cycle_census(build_graph(ctx, f))
-                assert s.periodic_count == sum(s.cycle_lengths)
-                assert s.component_count == len(s.cycle_lengths)
+                assert s.component_count == sum(s.k_cycle_counts.values())
                 assert sum(k * c for k, c in s.k_cycle_counts.items()) == s.periodic_count
     for r in enumerate_rationals(F3, 1, "at_most"):
         s = cycle_census(build_graph(F3, r))
-        assert s.component_count == len(s.cycle_lengths)
+        assert s.component_count == sum(s.k_cycle_counts.values())
 
 
 def test_census_matches_oracles_exhaustive():
@@ -92,7 +83,7 @@ def test_census_matches_oracles_random_graphs():
     for _ in range(200):
         size = rng.randrange(1, 64)
         succ = [rng.randrange(size) for _ in range(size)]
-        g = graph_from_succ(succ)
+        g = FunctionalGraph(len(succ), tuple(succ))
         s = cycle_census(g)
         assert s.component_count == oracle_components(succ)
         periodic = oracle_periodic_points(succ)
@@ -108,7 +99,7 @@ def test_permutation_graphs_fully_periodic():
         size = rng.randrange(1, 50)
         perm = list(range(size))
         rng.shuffle(perm)
-        s = cycle_census(graph_from_succ(perm))
+        s = cycle_census(FunctionalGraph(len(perm), tuple(perm)))
         assert s.periodic_count == size
 
 
@@ -146,9 +137,7 @@ def successor_tables(draw) -> list[int]:
 def test_census_agrees_with_oracles_on_drawn_tables(succ: list[int]):
     # components equal cycles in a functional graph; the census counts
     # cycles only, so the BFS component oracle is the independent check
-    s = cycle_census(graph_from_succ(succ))
+    s = cycle_census(FunctionalGraph(len(succ), tuple(succ)))
     assert s.component_count == oracle_components(succ)
     assert s.periodic_count == len(oracle_periodic_points(succ))
-    lengths = oracle_cycle_lengths(succ)
-    assert s.k_cycle_counts == lengths
-    assert s.cycle_lengths == tuple(sorted(Counter(lengths).elements()))
+    assert s.k_cycle_counts == oracle_cycle_lengths(succ)
