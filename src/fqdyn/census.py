@@ -7,11 +7,12 @@ and adds their statistics to integer sums, and the blocks' results
 merge by plain addition.  Addition is associative and commutative, so
 every worker count and schedule yields byte-identical reports.
 
-An exhaustive block decodes its first slot once and walks the rest as
-an odometer, building each map's successor table from running column
-sums of its coefficients times powers of x (see _column_runs); no map is
-evaluated point by point.  Sampled and rho runs draw independent maps,
-so they keep Horner evaluation (build_graph and Family.evaluate).
+No census evaluates a map point by point.  An exhaustive block decodes
+its first slot once and walks the rest as an odometer, building each
+map's successor table from running sums of value columns (see
+_column_runs); a sampled map's values come from the same columns
+(fmaps.poly_values, through build_graph).  Only rho walks, which visit a
+few points of each map, keep Horner evaluation (Family.evaluate).
 
 All averages are exact rationals.  Floats appear only in sampled-mode
 standard errors and in diagnostics.
@@ -46,6 +47,7 @@ from .fmaps import (
     poly_exactly_count,
     poly_gcd,
     poly_mul,
+    poly_values,
 )
 from .reportio import frac_json
 from .seeding import per_index_rng
@@ -205,11 +207,9 @@ def _column_runs(ctx: FieldCtx, d: int, start: Poly, count: int):
     a_d): s1[x] is the value column sum(a_j x^j, j >= 1) at every x, and
     consts the run's constant terms, so the polynomial a_0 + ... takes the
     value a_0 + s1[x] at x.  Column S_j = S_(j+1) + a_j x^j is kept per
-    level and rebuilt only when its digit changes.
+    level and rebuilt by poly_values only when its digit changes.
     """
     q, digits = ctx.q, list(start) + [0] * (d + 1 - len(start))
-    add, mul = ctx.add, ctx.mul
-    powers = [None] + [[ctx.pow(x, j) for x in ctx.elements()] for j in range(1, d + 1)]
     cols: list = [None] * (d + 1) + [(0,) * q]
     a0, changed = digits[0], d
     while count > 0:
@@ -221,7 +221,7 @@ def _column_runs(ctx: FieldCtx, d: int, start: Poly, count: int):
             digits[changed] += 1
         for j in range(changed, 0, -1):
             a = digits[j]
-            cols[j] = tuple(add(s, mul(a, t)) for s, t in zip(cols[j + 1], powers[j]))
+            cols[j] = poly_values(ctx, (0,) * j + (a,), cols[j + 1]) if a else cols[j + 1]
         changed = 0
         n = min(q - a0, count)
         yield tuple(digits[1:]), cols[1], range(a0, a0 + n)
@@ -565,8 +565,9 @@ class Family:
     successors(ctx, d, mode, lo, hi) yields the successor tuple of each
     map in slots [lo, hi) of index_count(ctx, d, mode) slots, skipping
     slots outside the mode; map_count(ctx, d, mode) is the closed-form
-    number of maps those slots hold.  sample and evaluate serve drawn runs,
-    whose maps are independent and so each evaluated point by point.
+    number of maps those slots hold.  sample draws the maps of sampled and
+    rho runs; evaluate serves rho walks, which visit only a few points of
+    each map.
     """
 
     name: str  # "poly" | "rational", as reports echo it

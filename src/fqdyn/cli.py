@@ -38,6 +38,7 @@ from .census import (
     rat_cycle_totals_at_most,
     resolve_budget,
     rho_experiment,
+    run_blocks,
     sampled_census,
     solution_count_case,
     usable_cpus,
@@ -127,7 +128,8 @@ def build_parser() -> argparse.ArgumentParser:
     vlp.add_argument("--dmax", type=_max_degree, required=True)
     _add_common_flags(vlp)
 
-    vrc = vsubs.add_parser("rat-count", help="rational map counts")
+    vrc_help = "rational map counts from the independent reference enumerator, in one process (ignores --jobs)"
+    vrc = vsubs.add_parser("rat-count", help=vrc_help, description=vrc_help)
     _add_field_flags(vrc)
     vrc.add_argument("--dmax", type=_max_degree, required=True)
     _add_common_flags(vrc)
@@ -254,6 +256,8 @@ def _cmd_verify_lemma_polys(args, jobs: int):
 
 
 def _cmd_verify_rat_count(args, jobs: int):
+    # enumerate_rationals is the independent reference that the census's
+    # block walk is checked against, so it runs whole in one process
     ctx = _field(args)
     checks = []
     for d in range(args.dmax + 1):
@@ -274,16 +278,12 @@ def _cmd_verify_rat_count(args, jobs: int):
     return _verify_result(args, ctx.q, checks)
 
 
-def _cmd_verify_prov(args, jobs: int):
-    ctx = _field(args)
-    instances = [random_constraint_instance(ctx, per_index_rng(args.seed, i)) for i in range(args.instances)]
-    # enumerate_S walks the q^deg(g0 g1) monic candidates of each instance
-    walked = sum(ctx.q ** (len(g0) + len(g1) - 2) for g0, g1, _, _ in instances)
-    what = f"counting {args.instances} interpolation families over q={ctx.q}"
-    _check_budget(walked, args.budget, what, "lower --instances")
+def _prov_checks(ctx: FieldCtx, instances: list, lo: int, hi: int) -> list[dict]:
+    """The checks of instances [lo, hi): each family's brute-force count
+    against the case its shape falls in."""
     checks = []
-    case_tally = {"exactly": 0, "at_most_one": 0}
-    for i, (g0, g1, betas, gammas) in enumerate(instances):
+    for i in range(lo, hi):
+        g0, g1, betas, gammas = instances[i]
         case, exponent = solution_count_case(ctx, g0, g1, betas)
         count = enumerate_S(ctx, g0, g1, betas, gammas)
         if case == "exactly":
@@ -292,7 +292,6 @@ def _cmd_verify_prov(args, jobs: int):
         else:
             ok = count <= 1
             expected = None
-        case_tally[case] += 1
         checks.append(
             {
                 "instance": i,
@@ -306,6 +305,18 @@ def _cmd_verify_prov(args, jobs: int):
                 "status": "pass" if ok else "fail",
             }
         )
+    return checks
+
+
+def _cmd_verify_prov(args, jobs: int):
+    ctx = _field(args)
+    instances = [random_constraint_instance(ctx, per_index_rng(args.seed, i)) for i in range(args.instances)]
+    # enumerate_S walks the q^deg(g0 g1) monic candidates of each instance
+    walked = sum(ctx.q ** (len(g0) + len(g1) - 2) for g0, g1, _, _ in instances)
+    what = f"counting {args.instances} interpolation families over q={ctx.q}"
+    _check_budget(walked, args.budget, what, "lower --instances")
+    checks = run_blocks(_prov_checks, (ctx, instances), len(instances), jobs)
+    case_tally = {case: sum(c["case"] == case for c in checks) for case in ("exactly", "at_most_one")}
     echo = {"instances": args.instances, "seed": args.seed}
     return _verify_result(args, ctx.q, checks, echo, case_tally=case_tally)
 

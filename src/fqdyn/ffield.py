@@ -213,9 +213,10 @@ def _default_modulus(p: int, n: int) -> tuple[int, ...]:
     """Lexicographically smallest monic irreducible of degree n over GF(p).
 
     Candidates are compared by their coefficient tuple (c_0, ..., c_{n-1}),
-    least-significant first.
+    least-significant first.  Above degree 1 a candidate with c_0 = 0 is
+    divisible by t, so the search starts at c_0 = 1.
     """
-    for low in product(range(p), repeat=n):
+    for low in product(range(1 if n > 1 else 0, p), *[range(p)] * (n - 1)):
         cand = list(low) + [1]
         if _is_irreducible_gfp(cand, p):
             return tuple(cand)

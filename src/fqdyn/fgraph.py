@@ -6,10 +6,11 @@ the cycle count, and the periodic points are the vertices on cycles.
 The census below therefore needs only the cycles, which it finds in a
 single O(size) walk over the vertices.
 
-build_graph evaluates a map at every point by Horner's rule; sampled
-and rho runs use it.  Exhaustive censuses build their successor tables
-from running column sums instead (census._column_runs) and wrap them in
-FunctionalGraph directly.
+build_graph reads a sampled map's values at every point off whole value
+columns (fmaps.poly_values), a rational map's from one numerator and one
+denominator column.  Exhaustive censuses build their successor tables
+from running sums of the same columns (census._column_runs) and wrap
+them in FunctionalGraph directly.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 from typing import Callable, TypeVar
 
 from .ffield import FieldCtx
-from .fmaps import Poly, RationalMap, eval_poly, eval_rational
+from .fmaps import Poly, RationalMap, eval_rational, poly_values
 
 T = TypeVar("T")
 
@@ -40,15 +41,17 @@ class CycleStats:
 def build_graph(ctx: FieldCtx, m: Poly | RationalMap) -> FunctionalGraph:
     """Vertex set F_q for a polynomial, P^1(F_q) for a rational map.
 
-    Infinity sits at index q, always last.
+    Infinity sits at index q, always last.  A rational map divides its
+    numerator's values by its denominator's, a point where the denominator
+    vanishes going to infinity (everywhere for the constant-infinity map,
+    whose denominator is 0); infinity goes where eval_rational sends it.
     """
-    if isinstance(m, RationalMap):
-        size = ctx.q + 1
-        succ = tuple(eval_rational(ctx, m, x) for x in range(size))
-    else:
-        size = ctx.q
-        succ = tuple(eval_poly(ctx, m, x) for x in range(size))
-    return FunctionalGraph(size, succ)
+    if not isinstance(m, RationalMap):
+        return FunctionalGraph(ctx.q, poly_values(ctx, m))
+    inf = ctx.q
+    nums, dens = poly_values(ctx, m.num), poly_values(ctx, m.den)
+    succ = [ctx.mul(n, ctx.inv(v)) if v else inf for n, v in zip(nums, dens)]
+    return FunctionalGraph(inf + 1, (*succ, eval_rational(ctx, m, inf)))
 
 
 def cycle_census(g: FunctionalGraph) -> CycleStats:

@@ -16,8 +16,11 @@ has degree 0.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
-from typing import Iterator, Literal, Sequence
+from functools import partial, reduce
+from itertools import chain, islice, repeat
+from typing import Iterable, Iterator, Literal, Sequence
 
 from .ffield import FieldCtx, FqElem
 
@@ -45,6 +48,44 @@ def eval_poly(ctx: FieldCtx, f: Poly, x: FqElem) -> FqElem:
     for c in reversed(f):
         acc = ctx.add(ctx.mul(acc, x), c)
     return acc
+
+
+def _add_columns(ctx: FieldCtx, s: Iterable[FqElem], t: Iterable[FqElem]) -> Iterator[FqElem]:
+    """s[i] + t[i] for every i, lazily."""
+    if ctx.p == 2:
+        return map(operator.xor, s, t)
+    if ctx.n == 1:
+        return map(ctx.p.__rmod__, map(operator.add, s, t))
+    return map(ctx.add, s, t)
+
+
+def poly_values(ctx: FieldCtx, f: Poly, base: Sequence[FqElem] | None = None) -> tuple[FqElem, ...]:
+    """f(x) at every x in F_q, in handle order; base[x] + f(x) with a base.
+
+    With tables, x = g^i runs over the units in log order and the term
+    a x^j is the column exp[log a + i j], i < q - 1: every j-th entry of
+    the exp table, repeated, from log a on.  The columns add with map, and
+    one itemgetter on the log table puts the sum in handle order, x = 0
+    (log -1, the last slot) taking the constant term.  Prime fields above
+    the table cap run Horner's rule on whole columns instead.
+    """
+    q = ctx.q
+    if ctx.log_table is None:
+        p, col = ctx.p, [0] * q
+        for a in reversed(f):
+            col = [(c * x + a) % p for x, c in enumerate(col)]
+    else:
+        exp, log, m = ctx.exp_table, ctx.log_table, q - 1
+        cols = [
+            islice(chain.from_iterable(repeat(exp, j + 1)), log[a], log[a] + j * m, j)
+            for j, a in enumerate(f)
+            if j and a
+        ]
+        const = f[0] if f else 0
+        if const or not cols:
+            cols.append(repeat(const, m))
+        col = operator.itemgetter(*log)([*reduce(partial(_add_columns, ctx), cols), const])
+    return tuple(col) if base is None else tuple(_add_columns(ctx, base, col))
 
 
 def poly_scale(ctx: FieldCtx, c: FqElem, f: Poly) -> Poly:

@@ -16,6 +16,7 @@ than the arithmetic itself.  No command or benchmark runs them.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
 from typing import Iterator, Sequence
 
 from fqdyn.ffield import FieldCtx, FqElem
@@ -70,6 +71,28 @@ def oracle_mul(a: int, b: int, p: int, n: int, modulus: tuple[int, ...]) -> int:
             for k in range(n):
                 prod[top - n + k] = (prod[top - n + k] - c * modulus[k]) % p
     return undigits(prod[:n], p)
+
+
+def _gfp_remainder(a: list[int], b: list[int], p: int) -> list[int]:
+    """Remainder of a by the monic b over GF(p), dense lists, least significant first."""
+    a, n = list(a), len(b) - 1
+    for top in range(len(a) - 1, n - 1, -1):
+        c = a[top] % p
+        for k in range(n + 1):
+            a[top - n + k] = (a[top - n + k] - c * b[k]) % p
+    return a[:n]
+
+
+def plain_default_modulus(p: int, n: int) -> tuple[int, ...]:
+    """The first monic degree-n polynomial over GF(p), in the order of its
+    coefficients (c_0, ..., c_{n-1}), with no monic factor of degree
+    1..n//2.  Every candidate is tried."""
+    for low in product(range(p), repeat=n):
+        cand = [*low, 1]
+        divisors = ([*div, 1] for m in range(1, n // 2 + 1) for div in product(range(p), repeat=m))
+        if all(any(_gfp_remainder(cand, div, p)) for div in divisors):
+            return tuple(cand)
+    raise AssertionError("every degree has an irreducible polynomial")
 
 
 def oracle_components(succ: list[int]) -> int:

@@ -156,6 +156,26 @@ class TestVerifyCommands:
         b = run_cli("verify", "prov", "--p", "3", "--n", "1", "--instances", "20")
         assert a == b
 
+    def test_prov_splits_its_instances_across_workers(self, monkeypatch, tmp_path):
+        """--jobs used to be ignored; the check lists of two blocks join to
+        the one-process report byte for byte."""
+        monkeypatch.setattr(census, "usable_cpus", lambda: 2)
+        calls = []
+
+        def spy(fn, args, total, jobs):
+            calls.append((fn.__name__, total, jobs))
+            return census.run_blocks(fn, args, total, jobs)
+
+        monkeypatch.setattr(cli, "run_blocks", spy)
+        texts = []
+        for jobs in ("1", "2"):
+            out = tmp_path / f"prov-{jobs}.json"
+            argv = ["verify", "prov", "--p", "3", "--instances", "9", "--jobs", jobs, "--output", str(out)]
+            assert cli.run(argv) == 0
+            texts.append(out.read_text(encoding="utf-8"))
+        assert calls == [("_prov_checks", 9, 1), ("_prov_checks", 9, 2)]
+        assert texts[0] == texts[1]
+
     def test_cycle_bounds(self):
         code, out, err = run_cli("verify", "cycle-bounds", "--p", "3", "--n", "1", "--dmax", "2")
         assert code == 0, err

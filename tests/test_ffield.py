@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from fqdyn import ffield
 from fqdyn.ffield import TABLE_CAP, FieldCtx, field_order, is_prime, make_field
 
-from oracles import oracle_add, oracle_mul
+from oracles import oracle_add, oracle_mul, plain_default_modulus
 
 
 def test_gf5_basic_ops():
@@ -208,6 +208,15 @@ def test_default_modulus_is_lex_smallest():
     assert make_field(2, 2).modulus == (1, 1, 1)
     assert make_field(3, 2).modulus == (1, 0, 1)
     assert make_field(5, 1).modulus == (0, 1)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_modulus_search_matches_the_plain_search(p):
+    """Skipping the candidates divisible by t above degree 1 keeps every modulus."""
+    n = 1
+    while p**n <= 1 << 12:
+        assert ffield._default_modulus(p, n) == plain_default_modulus(p, n), n
+        n += 1
 
 
 def test_context_is_picklable():

@@ -3,8 +3,9 @@
 The exhaustive census walks each block's slots as an odometer and reads
 every map's successors off value columns and addition-table rows.  The
 reference here decodes each slot on its own with the `fmaps` decoders,
-evaluates the map at every point by Horner's rule (`build_graph`) and
-scans it; both must give the same tally over the same slots.
+evaluates the map at every point by Horner's rule (`eval_poly`,
+`eval_rational`) and scans it; both must give the same tally over the
+same slots.
 """
 
 from __future__ import annotations
@@ -17,10 +18,12 @@ from hypothesis import given, settings, strategies as st
 from fqdyn import census
 from fqdyn.census import POLY, RATIONAL, Tally, _census_block, _split_blocks
 from fqdyn.ffield import make_field
-from fqdyn.fgraph import build_graph, cycle_census
+from fqdyn.fgraph import FunctionalGraph, cycle_census
 from fqdyn.fmaps import (
     CONSTANT_INFINITY,
     RationalMap,
+    eval_poly,
+    eval_rational,
     monic_poly_at,
     poly_at_most_at,
     poly_exactly_at,
@@ -57,11 +60,13 @@ def horner_slot(ctx, family: str, d: int, mode: str, i: int):
 
 
 def horner_tally(ctx, family: str, d: int, mode: str, lo: int, hi: int) -> Tally:
+    evaluate, size = (eval_poly, ctx.q) if family == "poly" else (eval_rational, ctx.q + 1)
     tally = Tally()
     for i in range(lo, hi):
         m = horner_slot(ctx, family, d, mode, i)
         if m is not None:
-            tally.add(cycle_census(build_graph(ctx, m)), ctx.q + 1)
+            succ = tuple(evaluate(ctx, m, x) for x in range(size))
+            tally.add(cycle_census(FunctionalGraph(size, succ)), ctx.q + 1)
     return tally
 
 
