@@ -64,7 +64,8 @@ def poly_values(ctx: FieldCtx, f: Poly, base: Sequence[FqElem] | None = None) ->
 
     With tables, x = g^i runs over the units in log order and the term
     a x^j is the column exp[log a + i j], i < q - 1: every j-th entry of
-    the exp table, repeated, from log a on.  The columns add with map, and
+    the exp table, repeated, from log a on, read lazily so that no copy of
+    the table is made.  The columns add with map, and
     one itemgetter on the log table puts the sum in handle order, x = 0
     (log -1, the last slot) taking the constant term.  Prime fields above
     the table cap run Horner's rule on whole columns instead.

@@ -24,7 +24,7 @@ from fqdyn.fmaps import (
 # q = 2, characteristic-2 extensions, an odd-p extension, prime fields
 # with tables on both sides of the q x q row-table size
 FIELDS = [(2, 1), (2, 2), (2, 3), (2, 6), (3, 2), (5, 1), (7, 1), (257, 1)]
-WHOLE_SPACE_MAX = 800  # polynomials of degree <= 2 walked whole up to this many
+WHOLE_SPACE_MAX = 800  # spaces of polynomials of degree <= d up to this size are walked whole
 
 
 @lru_cache(maxsize=None)
@@ -41,8 +41,7 @@ def polys(ctx, d: int, count: int, rng):
     zero coefficients mixed in."""
     if ctx.q ** (d + 1) <= WHOLE_SPACE_MAX:
         return list(enumerate_polys(ctx, d, "at_most"))
-    pick = lambda: rng.choice((0, 1, rng.randrange(ctx.q)))  # noqa: E731
-    return [normalize_poly([pick() for _ in range(d + 1)]) for _ in range(count)]
+    return [normalize_poly([rng.choice((0, 1, rng.randrange(ctx.q))) for _ in range(d + 1)]) for _ in range(count)]
 
 
 @pytest.mark.parametrize("p, n", FIELDS)
