@@ -14,6 +14,12 @@ _column_runs); a sampled map's values come from the same columns
 (fmaps.poly_values, through build_graph).  Only rho walks, which visit a
 few points of each map, keep Horner evaluation (Family.evaluate).
 
+Nor does a census gcd-test raw pairs.  A rational block marks once per
+denominator the numerators that share a factor with it, the multiples
+of its monic divisors (_shared_factor_slots), and skips a slot by
+looking its index up; fmaps.enumerate_rationals, the independent
+reference, keeps a gcd per pair.
+
 All averages are exact rationals.  Floats appear only in sampled-mode
 standard errors and in diagnostics.
 """
@@ -45,7 +51,7 @@ from .fmaps import (
     poly_divmod,
     poly_exactly_at,
     poly_exactly_count,
-    poly_gcd,
+    poly_gcd,  # unused here; perfbench/traced.py patches census.poly_gcd by name
     poly_mul,
     poly_values,
 )
@@ -238,16 +244,45 @@ def _poly_successors(ctx: FieldCtx, d: int, mode: str, lo: int, hi: int):
             yield at(add_row(c))
 
 
+def _shared_factor_slots(ctx: FieldCtx, d: int, den: Poly) -> set[int]:
+    """Slots (poly_at_most_at indices) of the numerators of degree <= d
+    that share a factor with the monic den.
+
+    They are the multiples g*h of the monic divisors g of den with
+    deg g >= 1, h running over every polynomial of degree <= d - deg g,
+    zero included.  The divisors below deg den are found by trial
+    division; the only one of full degree is den itself.
+    """
+    q, e = ctx.q, len(den) - 1
+    if e < 1:
+        return set()
+    divisors = [
+        g
+        for k in range(1, e)
+        for g in (monic_poly_at(ctx, k, i) for i in range(q**k))
+        if not poly_divmod(ctx, den, g)[1]
+    ]
+    weights = [q**t for t in range(d + 1)]
+    return {
+        sum(map(operator.mul, poly_mul(ctx, g, poly_at_most_at(ctx, d - len(g) + 1, j)), weights))
+        for g in [*divisors, den]
+        for j in range(q ** (d - len(g) + 2))
+    }
+
+
 def _rational_successors(ctx: FieldCtx, d: int, mode: str, lo: int, hi: int):
     """Successor tuple of each rational map in raw-pair slots [lo, hi).
 
     Slots run over monic denominators by degree e, numerators of degree
     <= d fastest; the slot after the last pair holds the constant-infinity
-    map.  Slots outside the mode, or with num and den not coprime, yield
-    nothing.  Both walks reuse the polynomial columns: a denominator's
-    value column is fixed while its numerators run, a point where it
-    vanishes goes to infinity, and infinity goes where the degrees and the
-    numerator's leading coefficient send it.
+    map.  Slots outside the mode yield nothing, and so do the numerators
+    that share a factor with their denominator: a sieve marks them once
+    per denominator (_shared_factor_slots), and the numerator walk skips
+    a slot by looking its running index up, with no gcd per pair.  Both
+    walks reuse the polynomial columns: a denominator's value column is
+    fixed while its numerators run, a point where it vanishes goes to
+    infinity, and infinity goes where the degrees and the numerator's
+    leading coefficient send it.
     """
     q = inf = ctx.q
     num_count = q ** (d + 1)
@@ -267,15 +302,17 @@ def _rational_successors(ctx: FieldCtx, d: int, mode: str, lo: int, hi: int):
             for b in den_consts:
                 den = (b, *den_high)
                 divide = tuple(mul_row(ctx.inv(v)) if v else to_inf for v in den_at(add_row(b)))
+                shared = _shared_factor_slots(ctx, d, den)
                 n = min(last - first, num_count - num_idx)
+                ni = num_idx - 1
                 for high, s1, consts in _column_runs(ctx, d, num_start, n):
                     at = operator.itemgetter(*s1)
                     top = max((j for j, a in enumerate(high, 1) if a), default=0)
-                    for c in consts:
+                    for ni, c in enumerate(consts, ni + 1):
                         deg = top or (0 if c else -1)  # -1 for the zero numerator
                         if mode == "exactly" and max(deg, e) != d:
                             continue
-                        if e and len(poly_gcd(ctx, normalize_poly((c, *high)), den)) > 1:
+                        if ni in shared:
                             continue
                         lead = high[top - 1] if top else c
                         image = inf if deg > e else lead if deg == e else 0

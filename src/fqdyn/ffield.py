@@ -119,20 +119,6 @@ class FieldCtx:
             return pow(a, self.p - 2, self.p)
         return self.exp_table[self.q - 1 - self.log_table[a]]
 
-    def pow(self, a: FqElem, e: int) -> FqElem:
-        """a**e for e >= 0, with 0**0 == 1."""
-        if e < 0:
-            raise ValueError("negative exponent; invert first")
-        if a == 0:
-            return 0 if e else 1
-        if self.log_table is None:
-            return pow(a, e, self.p)
-        return self.exp_table[(self.log_table[a] * e) % (self.q - 1)]
-
-    def elements(self) -> range:
-        """All q element handles exactly once, in handle order."""
-        return range(self.q)
-
 
 # Digit-vector arithmetic over GF(p), used for construction and as the
 # reference path the tables are built from.

@@ -6,9 +6,9 @@ and structures in the same encodings the library uses, but none of the
 library's arithmetic shortcuts (discrete-log tables, Zech logs, path
 marking) appear in them.
 
-The helpers at the end of the file, count_cycle_givers and the Moebius
-and conjugation block, are references of another kind: they use the
-library's field arithmetic (FieldCtx), polynomial helpers and canonical
+The helpers at the end of the file, field_pow, count_cycle_givers and
+the Moebius and conjugation block, are references of another kind: they
+use the library's field arithmetic (FieldCtx), polynomial helpers and canonical
 forms (canonicalize_rational), and check statements about maps rather
 than the arithmetic itself.  No command or benchmark runs them.
 """
@@ -181,6 +181,16 @@ def harmonic_like_sum(n: int, weight_extra_n: bool) -> Fraction:
         else:
             total += term / k
     return total
+
+
+def field_pow(ctx: FieldCtx, a: FqElem, e: int) -> FqElem:
+    """a**e for e >= 0 by square-and-multiply through ctx.mul; 0**0 == 1."""
+    acc = 1
+    while e:
+        if e & 1:
+            acc = ctx.mul(acc, a)
+        a, e = ctx.mul(a, a), e >> 1
+    return acc
 
 
 def count_cycle_givers(ctx: FieldCtx, d: int, cycle: Sequence[FqElem]) -> int:

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from fqdyn import ffield
 from fqdyn.ffield import TABLE_CAP, FieldCtx, field_order, is_prime, make_field
 
-from oracles import oracle_add, oracle_mul, plain_default_modulus
+from oracles import field_pow, oracle_add, oracle_mul, plain_default_modulus
 
 
 def test_gf5_basic_ops():
@@ -35,7 +35,7 @@ def test_gf4_worked_example():
 def test_identity_handles():
     for p, n in [(2, 1), (3, 2), (5, 1), (2, 4)]:
         f = make_field(p, n)
-        for a in f.elements():
+        for a in range(f.q):
             assert f.add(a, 0) == a
             assert f.mul(a, 1) == a
             assert f.mul(a, 0) == 0
@@ -76,15 +76,10 @@ def test_inv_zero_raises():
         f.inv(0)
 
 
-def test_enumerate_elements():
-    f = make_field(3, 2)
-    assert list(f.elements()) == list(range(9))
-
-
 @pytest.mark.parametrize("p,n", [(2, 1), (3, 1), (5, 1), (2, 2), (3, 2), (2, 3), (5, 2), (3, 3)])
 def test_field_axioms_exhaustive(p: int, n: int):
     f = make_field(p, n)
-    els = list(f.elements())
+    els = range(f.q)
     for a in els:
         assert f.add(a, f.neg(a)) == 0
         if a:
@@ -101,8 +96,8 @@ def test_field_axioms_exhaustive(p: int, n: int):
 @pytest.mark.parametrize("p,n", [(2, 4), (3, 3), (5, 2), (7, 2), (2, 6)])
 def test_tables_match_digit_oracle(p: int, n: int):
     f = make_field(p, n)
-    for a in f.elements():
-        for b in f.elements():
+    for a in range(f.q):
+        for b in range(f.q):
             assert f.add(a, b) == oracle_add(a, b, p, n)
             assert f.mul(a, b) == oracle_mul(a, b, p, n, f.modulus)
 
@@ -110,10 +105,10 @@ def test_tables_match_digit_oracle(p: int, n: int):
 @pytest.mark.parametrize("p,n", [(2, 1), (7, 1), (101, 1), (2, 5), (3, 4), (31, 2)])
 def test_fermat_and_inverse_roundtrip(p: int, n: int):
     f = make_field(p, n)
-    for a in f.elements():
-        assert f.pow(a, f.q) == a
+    for a in range(f.q):
+        assert field_pow(f, a, f.q) == a
         if a:
-            assert f.pow(a, f.q - 1) == 1
+            assert field_pow(f, a, f.q - 1) == 1
             assert f.inv(f.inv(a)) == a
             assert f.mul(a, f.inv(a)) == 1
 
@@ -142,19 +137,6 @@ def test_tables_walk_the_smallest_generator():
         assert all(f.add(a, f.neg(a)) == 0 for a in range(q))
 
 
-def test_pow_edge_cases():
-    f = make_field(3, 2)
-    assert f.pow(0, 0) == 1
-    assert f.pow(0, 5) == 0
-    for a in f.elements():
-        acc = 1
-        for e in range(8):
-            assert f.pow(a, e) == acc
-            acc = f.mul(acc, a)
-    with pytest.raises(ValueError):
-        f.pow(2, -1)
-
-
 def test_above_cap_prime_uses_direct_arithmetic():
     p = 65537
     assert p > TABLE_CAP
@@ -162,7 +144,7 @@ def test_above_cap_prime_uses_direct_arithmetic():
     assert f.exp_table is None and f.log_table is None
     assert f.mul(12345, 54321) == (12345 * 54321) % p
     assert f.mul(9999, f.inv(9999)) == 1
-    assert f.pow(3, p - 1) == 1
+    assert field_pow(f, 3, p - 1) == 1
 
 
 def test_above_cap_extension_rejected():

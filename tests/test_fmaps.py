@@ -36,8 +36,8 @@ F7 = make_field(7)
 
 def test_eval_poly_examples():
     assert eval_poly(F5, (1, 0, 1), 2) == 0  # x^2 + 1 at 2
-    assert all(eval_poly(F7, (), x) == 0 for x in F7.elements())
-    assert all(eval_poly(F2, (0, 1, 1), x) == 0 for x in F2.elements())  # x^2 + x
+    assert all(eval_poly(F7, (), x) == 0 for x in range(F7.q))
+    assert all(eval_poly(F2, (0, 1, 1), x) == 0 for x in range(F2.q))  # x^2 + x
 
 
 def test_normalize_and_degree():
@@ -102,7 +102,7 @@ def test_canonicalize_idempotent_and_eval_invariant():
         r2 = canonicalize_rational(F5, r1.num, r1.den)
         assert r1 == r2
         # eval through the raw pair agrees wherever the raw pair is defined
-        for x in F5.elements():
+        for x in range(F5.q):
             dv = eval_poly(F5, den, x)
             nv = eval_poly(F5, num, x)
             if dv != 0:
@@ -126,7 +126,7 @@ def test_eval_rational_examples():
 def test_eval_rational_agrees_with_eval_poly():
     for f in enumerate_polys(F5, 2, "at_most"):
         r = RationalMap(f, (1,))
-        for x in F5.elements():
+        for x in range(F5.q):
             assert eval_rational(F5, r, x) == eval_poly(F5, f, x)
 
 

@@ -1,13 +1,16 @@
-"""Every top-level function and class in the package is run by a command
-or by the benchmark.
+"""Every top-level function and class in the package, and every method of
+a top-level class, is run by a command or by the benchmark.
 
 A name that only the tests reach is test code living in the library:
 it belongs in tests/oracles.py (or nowhere).  The guard parses each
 module of src/fqdyn/ except __init__.py, whose re-exports are not a use,
-and fails for a top-level def or class named in no other top-level
-statement of the package and nowhere in perfbench/.  A name counts where
-it appears as a Name, an Attribute, or a word in a string constant that
-is not a docstring; the string case covers getattr targets.
+and fails for a top-level def or class, or a non-dunder method of a
+top-level class, named nowhere in the package outside its own definition
+and nowhere in perfbench/.  A name counts where it appears as a Name, an
+Attribute, or a word in a string constant that is not a docstring; the
+string case covers getattr targets.  A method is only ever reached as an
+Attribute or by getattr, so a bare Name (the builtin pow, say) does not
+count for a method.
 """
 
 from __future__ import annotations
@@ -34,11 +37,12 @@ def _docstrings(tree: ast.AST) -> set[int]:
     return out
 
 
-def _named(node: ast.AST, docstrings: set[int]) -> set[str]:
-    """Every name node mentions: Names, Attributes and words of strings."""
+def _named(node: ast.AST, docstrings: set[int], bare: bool = True) -> set[str]:
+    """Every name node mentions: Attributes, words of strings and, with
+    bare, Names."""
     out = set()
     for n in ast.walk(node):
-        if isinstance(n, ast.Name):
+        if isinstance(n, ast.Name) and bare:
             out.add(n.id)
         elif isinstance(n, ast.Attribute):
             out.add(n.attr)
@@ -47,26 +51,37 @@ def _named(node: ast.AST, docstrings: set[int]) -> set[str]:
     return out
 
 
+def _methods(cls: ast.ClassDef) -> list[ast.stmt]:
+    return [
+        node
+        for node in cls.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not (node.name.startswith("__") and node.name.endswith("__"))
+    ]
+
+
 def unused_defs(modules, elsewhere) -> list[str]:
-    """Top-level defs of modules named in no other top-level statement of
-    modules and nowhere in the files elsewhere."""
-    defs: list[tuple[str, ast.stmt]] = []
-    uses: list[tuple[ast.stmt, set[str]]] = []
+    """Top-level defs, and methods of top-level classes, of modules named
+    nowhere in modules outside their own definition and nowhere in the
+    files elsewhere; a bare Name is no use of a method."""
+    defs: list[tuple[str, ast.stmt, bool]] = []  # (qualified name, node, is a method)
+    parts: list[tuple[ast.stmt, ast.AST, dict[bool, set[str]]]] = []  # (top-level statement, part, names)
     for path in modules:
         tree = ast.parse(path.read_text(encoding="utf-8"))
         docs = _docstrings(tree)
         for stmt in tree.body:
-            uses.append((stmt, _named(stmt, docs)))
             if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                defs.append((f"{path.stem}.{stmt.name}", stmt))
-    outside: set[str] = set()
-    for path in elsewhere:
-        tree = ast.parse(path.read_text(encoding="utf-8"))
-        outside |= _named(tree, _docstrings(tree))
+                defs.append((f"{path.stem}.{stmt.name}", stmt, False))
+            methods = _methods(stmt) if isinstance(stmt, ast.ClassDef) else []
+            defs += [(f"{path.stem}.{stmt.name}.{m.name}", m, True) for m in methods]
+            parts += [(stmt, n, {b: _named(n, docs, b) for b in (True, False)}) for n in ast.iter_child_nodes(stmt)]
+    trees = [ast.parse(path.read_text(encoding="utf-8")) for path in elsewhere]
+    outside = {b: set().union(*(_named(t, _docstrings(t), b) for t in trees)) for b in (True, False)}
     return [
         qualified
-        for qualified, stmt in defs
-        if stmt.name not in outside and not any(stmt.name in names for s, names in uses if s is not stmt)
+        for qualified, node, method in defs
+        if node.name not in outside[not method]
+        and not any(node.name in names[not method] for top, part, names in parts if node not in (top, part))
     ]
 
 
@@ -83,9 +98,18 @@ def test_guard_sees_test_only_code(tmp_path):
         "def called(x):\n    return x\n\n"
         "def looked_up(x):\n    return x\n\n"
         "def run(x):\n    return called(x)\n\n"
-        "class Orphan:\n    pass\n",
+        "class Orphan:\n    pass\n\n"
+        "class Holder:\n"
+        "    def __init__(self):\n        self.first()\n\n"
+        "    def first(self):\n        return self.second()\n\n"
+        "    def second(self):\n        return pow(2, 1)\n\n"  # the builtin: no use of Holder.pow
+        "    def benched(self):\n        return 3\n\n"
+        "    def recursive(self, x):\n        return self.recursive(x - 1) if x else 0\n\n"
+        "    def pow(self, x):\n        return x * x\n",
         encoding="utf-8",
     )
     bench = tmp_path / "bench.py"
-    bench.write_text('import lib\n\nlib.run(1)\ngetattr(lib, "looked_up")\n', encoding="utf-8")
-    assert unused_defs([lib], [bench]) == ["lib.helper", "lib.Orphan"]
+    bench.write_text(
+        'import lib\n\nlib.run(1)\ngetattr(lib, "looked_up")\nlib.Holder().benched()\n', encoding="utf-8"
+    )
+    assert unused_defs([lib], [bench]) == ["lib.helper", "lib.Orphan", "lib.Holder.recursive", "lib.Holder.pow"]

@@ -5,11 +5,13 @@ every map's successors off value columns and addition-table rows.  The
 reference here decodes each slot on its own with the `fmaps` decoders,
 evaluates the map at every point by Horner's rule (`eval_poly`,
 `eval_rational`) and scans it; both must give the same tally over the
-same slots.
+same slots.  The census skips non-coprime pairs through a sieve built
+once per denominator; the sieve is checked here against `poly_gcd`.
 """
 
 from __future__ import annotations
 
+import random
 from functools import lru_cache
 
 import pytest
@@ -150,3 +152,43 @@ def test_any_block_matches_horner(case, data):
     lo = data.draw(st.integers(0, total - 1), label="lo")
     hi = data.draw(st.integers(lo, min(total, lo + 300)), label="hi")
     assert column_tally(ctx, family, d, mode, lo, hi) == horner_tally(ctx, family, d, mode, lo, hi)
+
+
+def shared_by_gcd(ctx, d: int, den, slots) -> set[int]:
+    """The numerator slots among slots whose gcd with den has degree >= 1."""
+    return {j for j in slots if len(poly_gcd(ctx, poly_at_most_at(ctx, d, j), den)) > 1}
+
+
+SIEVE_CASES = [(p, n, d) for p, n in FIELDS for d in (1, 2)] + [(p, n, 3) for p, n in FIELDS if p**n <= 4]
+
+
+@pytest.mark.parametrize("p, n, d", SIEVE_CASES)
+def test_sieve_marks_exactly_the_numerators_sharing_a_factor(p, n, d):
+    """Every monic denominator of degree 1..d, every numerator of degree <= d."""
+    ctx = field(p, n)
+    q = ctx.q
+    for e in range(1, d + 1):
+        for i in range(q**e):
+            den = monic_poly_at(ctx, e, i)
+            assert census._shared_factor_slots(ctx, d, den) == shared_by_gcd(ctx, d, den, range(q ** (d + 1)))
+
+
+@pytest.mark.parametrize(
+    "d, den, shared_count",
+    [
+        (2, (1,), 0),
+        (1, (5, 1), 257),  # x + 5: its multiples c (x + 5)
+        (2, (254, 0, 1), 257),  # x^2 - 3, irreducible (3 is not a square mod 257): its multiples c (x^2 - 3)
+    ],
+)
+def test_sieve_above_the_row_table_cap(d, den, shared_count):
+    """One denominator of each degree over GF(257).  Its q^(d+1) numerators
+    are too many to gcd-test at d = 2, so the marked set must have the size
+    the unit count mod den gives, and agree with poly_gcd on every marked
+    slot and on a draw of all slots."""
+    ctx = field(257)
+    assert ctx.q > census.ROW_TABLE_MAX
+    marked = census._shared_factor_slots(ctx, d, den)
+    assert len(marked) == shared_count
+    slots = [*marked, *random.Random(0).sample(range(ctx.q ** (d + 1)), 2000)]
+    assert shared_by_gcd(ctx, d, den, slots) == marked
