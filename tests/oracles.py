@@ -8,9 +8,10 @@ marking) appear in them.
 
 The helpers at the end of the file, field_pow, count_cycle_givers and
 the Moebius and conjugation block, are references of another kind: they
-use the library's field arithmetic (FieldCtx), polynomial helpers and canonical
-forms (canonicalize_rational), and check statements about maps rather
-than the arithmetic itself.  No command or benchmark runs them.
+use the library's field arithmetic (FieldCtx), polynomial helpers and
+canonical forms (canonicalize_rational), and check statements built on
+them, about powers or about maps, rather than the arithmetic itself.  No
+command or benchmark runs them.
 """
 
 from __future__ import annotations
