@@ -12,12 +12,13 @@ and z-scores at sizes where enumeration is out of reach.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 from typing import Callable, Iterator
 
-from .census import BudgetError, Tally, TheoryComparison, _check_budget, compare, mean_stderr, run_blocks
+from .census import BudgetError, TheoryComparison, _check_budget, compare, cycle_sums, mean_stderr, run_blocks
 from .fgraph import FunctionalGraph, cycle_census
 from .reportio import frac_json
 from .seeding import per_index_rng
@@ -148,23 +149,24 @@ class BaselineReport:
         return out
 
 
-def _graph_block(make: Callable, args: tuple, seed: int | None, start: int, stop: int) -> Tally:
-    """Tally the graphs make(*args, i) for the indices i in [start, stop),
-    or, with a seed, make(*args, rng) on each index's own random stream."""
-    tally = Tally()
-    for i in range(start, stop):
-        tally.add(cycle_census(make(*args, i if seed is None else per_index_rng(seed, i))), 0)
-    return tally
+def _graph_block(make: Callable, args: tuple, seed: int | None, start: int, stop: int) -> Counter:
+    """Tally by cycle type the graphs make(*args, i) for the indices i in
+    [start, stop), or, with a seed, make(*args, rng) on each index's own
+    random stream."""
+    graphs = (make(*args, i if seed is None else per_index_rng(seed, i)) for i in range(start, stop))
+    return Counter(map(cycle_census, graphs))
 
 
-def _baseline_report(kind: str, mode: str, size: int, tally: Tally, checks, **extra) -> BaselineReport:
-    """Averages from the tally, and one equality row per (name, stat,
-    expected) check; stat names the average checked, None the graph count."""
-    n = tally.map_count
-    avg = {"components": Fraction(tally.components, n), "periodic": Fraction(tally.periodic, n), None: Fraction(n)}
+def _baseline_report(kind: str, mode: str, size: int, types: Counter, checks, **extra) -> BaselineReport:
+    """Averages from the cycle-type tally, and one equality row per (name,
+    stat, expected) check; stat names the average checked, None the graph
+    count."""
+    s = cycle_sums(types, 0)
+    n = s.map_count
+    avg = {"components": Fraction(s.components, n), "periodic": Fraction(s.periodic, n), None: Fraction(n)}
     se = {
-        "components": mean_stderr(tally.components, tally.components_sq, n),
-        "periodic": mean_stderr(tally.periodic, tally.periodic_sq, n),
+        "components": mean_stderr(s.components, s.components_sq, n),
+        "periodic": mean_stderr(s.periodic, s.periodic_sq, n),
     }
     drawn = n if mode == "sampled" else None
     return BaselineReport(
@@ -196,14 +198,14 @@ def exhaustive_random_stats(n: int, jobs: int = 1, budget: int | None = None) ->
             f"({n}^{n} maps); use sampling instead"
         )
     _check_budget(n**n * n, budget, f"exhaustive random baseline of {n}^{n} maps", "use sampling instead")
-    tally = run_blocks(_graph_block, (_map_at, (n,), None), n**n, jobs)
+    types = run_blocks(_graph_block, (_map_at, (n,), None), n**n, jobs)
     th = random_map_stats(n)
     checks = (
         ("random_components_exact", "components", th.components_exact),
         ("random_periodic_exact", "periodic", th.periodic_exact),
     )
     asymptotics = {"components": th.components_asymptotic, "periodic": th.periodic_asymptotic}
-    return _baseline_report("random", "exhaustive", n, tally, checks, notes={"asymptotics": asymptotics})
+    return _baseline_report("random", "exhaustive", n, types, checks, notes={"asymptotics": asymptotics})
 
 
 def baseline_census(
@@ -241,14 +243,12 @@ def baseline_census(
         if mode == "exhaustive":
             what = f"exhaustive quadratic baseline of {th_q.graph_count} graphs"
             _check_budget(th_q.graph_count * size, budget, what, "use sampling instead")
-            tally = Tally()
-            for g in enumerate_quadratic_graphs(m, t):
-                tally.add(cycle_census(g), 0)
+            types = Counter(map(cycle_census, enumerate_quadratic_graphs(m, t)))
             checks = (
                 ("quadratic_graph_count", None, Fraction(th_q.graph_count)),
                 ("quadratic_periodic_exact", "periodic", th_q.avg_periodic),
             )
-            return _baseline_report("quadratic", "exhaustive", size, tally, checks, **extra)
+            return _baseline_report("quadratic", "exhaustive", size, types, checks, **extra)
     else:
         raise ValueError(f"unknown baseline kind {kind!r}")
     _check_budget(samples * size, budget, f"sampled {kind} baseline of {samples} graphs", "lower the sample count")
@@ -264,5 +264,5 @@ def baseline_census(
             ("components_z_asymptotic", "components", Fraction(random_components_asymptotic(n))),
             ("periodic_z_asymptotic", "periodic", Fraction(random_periodic_asymptotic(n))),
         )
-    tally = run_blocks(_graph_block, (make, args, seed), samples, jobs)
-    return _baseline_report(kind, "sampled", size, tally, checks, seed=seed, **extra)
+    types = run_blocks(_graph_block, (make, args, seed), samples, jobs)
+    return _baseline_report(kind, "sampled", size, types, checks, seed=seed, **extra)

@@ -3,9 +3,12 @@ closed-form values attached as pass/fail comparisons.
 
 Every run, census, baseline or rho, is one pipeline: an index range is
 split into contiguous blocks, each block turns its indices into maps
-and adds their statistics to integer sums, and the blocks' results
-merge by plain addition.  Addition is associative and commutative, so
-every worker count and schedule yields byte-identical reports.
+and counts them in a Counter, and the blocks' Counters merge by plain
+addition.  Addition is associative and commutative, so every worker
+count and schedule yields byte-identical reports.  Census and baseline
+blocks count maps by cycle type, the sorted tuple of cycle lengths
+(fgraph.cycle_census); a report derives every sum it reads once per
+type (cycle_sums), and kmax applies only there.
 
 No census evaluates a map point by point.  An exhaustive block decodes
 its first slot once and walks the rest as an odometer, building each
@@ -31,13 +34,13 @@ import operator
 import os
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import reduce
 from typing import Callable, Sequence
 
 from .ffield import FieldCtx, FqElem
-from .fgraph import CycleStats, FunctionalGraph, brent_rho, build_graph, cycle_census
+from .fgraph import FunctionalGraph, brent_rho, build_graph, cycle_census
 from .fmaps import (
     Poly,
     RationalMap,
@@ -91,37 +94,41 @@ def _check_budget(
 # --- tallies and the block runner ---------------------------------------------
 
 
-@dataclass
-class Tally:
-    """Integer sums of cycle statistics over a set of maps.
+@dataclass(frozen=True)
+class CycleSums:
+    """Integer sums of cycle statistics over a set of maps, as reports read
+    them; k_cycles and k_cycles_sq hold the lengths k <= kmax that occur,
+    in ascending order."""
 
-    Plain ints and Counters, so a tally pickles cheaply; + merges the
-    tallies of two disjoint sets.
-    """
+    map_count: int
+    components: int
+    periodic: int
+    components_sq: int
+    periodic_sq: int
+    k_cycles: dict[int, int]
+    k_cycles_sq: dict[int, int]
 
-    map_count: int = 0
-    components: int = 0
-    periodic: int = 0
-    components_sq: int = 0
-    periodic_sq: int = 0
-    k_cycles: Counter = field(default_factory=Counter)
-    k_cycles_sq: Counter = field(default_factory=Counter)
 
-    def add(self, stats: CycleStats, kmax: int) -> None:
-        """Count one map; cycle lengths above kmax stay out of the per-length sums."""
-        c, p = stats.component_count, stats.periodic_count
-        self.map_count += 1
-        self.components += c
-        self.periodic += p
-        self.components_sq += c * c
-        self.periodic_sq += p * p
-        for k, n in stats.k_cycle_counts.items():
+def cycle_sums(types: Counter, kmax: int) -> CycleSums:
+    """The sums over a tally of maps by cycle type (cycle type -> number of
+    maps), each type's statistics computed once and weighted by its count."""
+    n = comps = per = comps_sq = per_sq = 0
+    k_cycles: Counter = Counter()
+    k_cycles_sq: Counter = Counter()
+    for t, w in types.items():
+        c, p = len(t), sum(t)
+        n += w
+        comps += w * c
+        per += w * p
+        comps_sq += w * c * c
+        per_sq += w * p * p
+        for k, m in Counter(t).items():
             if k <= kmax:
-                self.k_cycles[k] += n
-                self.k_cycles_sq[k] += n * n
-
-    def __add__(self, other: Tally) -> Tally:
-        return Tally(*(getattr(self, f.name) + getattr(other, f.name) for f in fields(self)))
+                k_cycles[k] += w * m
+                k_cycles_sq[k] += w * m * m
+    return CycleSums(
+        n, comps, per, comps_sq, per_sq, dict(sorted(k_cycles.items())), dict(sorted(k_cycles_sq.items()))
+    )
 
 
 def mean_stderr(total: int, total_sq: int, n: int) -> float | None:
@@ -653,35 +660,33 @@ def _family(name: str) -> Family:
 
 
 def _census_block(
-    ctx: FieldCtx, family: Family, d: int, mode: str | None, kmax: int, seed: int | None, start: int, stop: int
-) -> Tally:
-    """Tally the maps in slots [start, stop) of the mode's enumeration, or,
-    with a seed, the maps drawn from each index's own random stream."""
+    ctx: FieldCtx, family: Family, d: int, mode: str | None, seed: int | None, start: int, stop: int
+) -> Counter:
+    """Tally by cycle type the maps in slots [start, stop) of the mode's
+    enumeration, or, with a seed, the maps drawn from each index's own
+    random stream."""
     if seed is None:
         size = family.vertices(ctx)
         graphs = (FunctionalGraph(size, succ) for succ in family.successors(ctx, d, mode, start, stop))
     else:
         graphs = (build_graph(ctx, family.sample(ctx, d, per_index_rng(seed, i))) for i in range(start, stop))
-    tally = Tally()
-    for g in graphs:
-        tally.add(cycle_census(g), kmax)
-    return tally
+    return Counter(map(cycle_census, graphs))
 
 
 def _exhaustive_tally(
-    ctx: FieldCtx, family: Family, d: int, mode: str, kmax: int, jobs: int, budget: int | None, what: str
-) -> Tally:
+    ctx: FieldCtx, family: Family, d: int, mode: str, jobs: int, budget: int | None, what: str
+) -> Counter:
     if d < 0:
         raise ValueError("degree must be >= 0")
     count = family.map_count(ctx, d, mode)
     _check_budget(count * family.vertices(ctx), budget, f"{family.name} {what} q={ctx.q} d={d}")
     total = family.index_count(ctx, d, mode)
-    tally = run_blocks(_census_block, (ctx, family, d, mode, kmax, None), total, jobs)
-    if tally.map_count != count:
+    types = run_blocks(_census_block, (ctx, family, d, mode, None), total, jobs)
+    if types.total() != count:
         raise AssertionError(
-            f"enumerated {tally.map_count} maps, closed form says {count}; this is a bug"
+            f"enumerated {types.total()} maps, closed form says {count}; this is a bug"
         )
-    return tally
+    return types
 
 
 _D0_NOTE = (
@@ -703,12 +708,13 @@ def _build_report(
     family: Family,
     d: int,
     kmax: int,
-    tally: Tally,
+    types: Counter,
     mode: str,
     seed: int | None = None,
     full_support: bool = False,
 ) -> CensusReport:
-    n = tally.map_count
+    s = cycle_sums(types, kmax)
+    n = s.map_count
     notes: dict = {}
     if d == 0:
         notes["d0_convention"] = _D0_NOTE
@@ -719,11 +725,9 @@ def _build_report(
             "sample_count": n,
             "seed": seed,
             "full_support": full_support,
-            "stderr_components": mean_stderr(tally.components, tally.components_sq, n),
-            "stderr_periodic": mean_stderr(tally.periodic, tally.periodic_sq, n),
-            "stderr_k_cycles": {
-                k: mean_stderr(tally.k_cycles[k], tally.k_cycles_sq[k], n) for k in sorted(tally.k_cycles)
-            },
+            "stderr_components": mean_stderr(s.components, s.components_sq, n),
+            "stderr_periodic": mean_stderr(s.periodic, s.periodic_sq, n),
+            "stderr_k_cycles": {k: mean_stderr(c, s.k_cycles_sq[k], n) for k, c in s.k_cycles.items()},
         }
     rep = CensusReport(
         family=family.name,
@@ -732,9 +736,9 @@ def _build_report(
         mode=mode,
         map_count=n,
         kmax=kmax,
-        avg_components=Fraction(tally.components, n),
-        avg_periodic=Fraction(tally.periodic, n),
-        avg_k_cycles={k: Fraction(c, n) for k, c in sorted(tally.k_cycles.items())},
+        avg_components=Fraction(s.components, n),
+        avg_periodic=Fraction(s.periodic, n),
+        avg_k_cycles={k: Fraction(c, n) for k, c in s.k_cycles.items()},
         notes=notes,
         **kwargs,
     )
@@ -748,8 +752,8 @@ def _exhaustive_census(
     ctx: FieldCtx, family: Family, d: int, kmax: int | None, jobs: int, budget: int | None
 ) -> CensusReport:
     kmax = family.vertices(ctx) if kmax is None else kmax
-    tally = _exhaustive_tally(ctx, family, d, "exactly", kmax, jobs, budget, "census")
-    return _build_report(ctx, family, d, kmax, tally, "exhaustive")
+    types = _exhaustive_tally(ctx, family, d, "exactly", jobs, budget, "census")
+    return _build_report(ctx, family, d, kmax, types, "exhaustive")
 
 
 def poly_census(
@@ -792,20 +796,20 @@ def sampled_census(
         raise ValueError("samples must be >= 1")
     kmax = fam.vertices(ctx) if kmax is None else kmax
     if full_support:
-        tally = _exhaustive_tally(ctx, fam, d, "exactly", kmax, jobs, budget, "census")
+        types = _exhaustive_tally(ctx, fam, d, "exactly", jobs, budget, "census")
     else:
         what = f"sampled {fam.name} census of {samples} maps over q={ctx.q}"
         _check_budget(samples * fam.vertices(ctx), budget, what, "lower the sample count")
-        tally = run_blocks(_census_block, (ctx, fam, d, None, kmax, seed), samples, jobs)
-    return _build_report(ctx, fam, d, kmax, tally, "sampled", seed=seed, full_support=full_support)
+        types = run_blocks(_census_block, (ctx, fam, d, None, seed), samples, jobs)
+    return _build_report(ctx, fam, d, kmax, types, "sampled", seed=seed, full_support=full_support)
 
 
 def _cycle_totals_at_most(
     ctx: FieldCtx, family: Family, d: int, kmax: int | None, jobs: int, budget: int | None
 ) -> tuple[dict[int, int], int]:
     kmax = family.vertices(ctx) if kmax is None else kmax
-    tally = _exhaustive_tally(ctx, family, d, "at_most", kmax, jobs, budget, "cycle totals")
-    return dict(sorted(tally.k_cycles.items())), tally.map_count
+    s = cycle_sums(_exhaustive_tally(ctx, family, d, "at_most", jobs, budget, "cycle totals"), kmax)
+    return s.k_cycles, s.map_count
 
 
 def poly_cycle_totals_at_most(

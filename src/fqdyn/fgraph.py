@@ -4,7 +4,11 @@ A functional graph has one outgoing edge per vertex, so every weakly
 connected component contains exactly one cycle: the component count is
 the cycle count, and the periodic points are the vertices on cycles.
 The census below therefore needs only the cycles, which it finds in a
-single O(size) walk over the vertices.
+single O(size) walk over the vertices.  It returns the map's cycle type,
+the sorted tuple of its cycle lengths: every statistic a census reports
+(components, periodic points, k-cycles) is a function of it, so a census
+counts maps per type and derives the sums once per type
+(census.cycle_sums).
 
 build_graph reads a sampled map's values at every point off whole value
 columns (fmaps.poly_values), a rational map's from one numerator and one
@@ -15,7 +19,6 @@ them in FunctionalGraph directly.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, TypeVar
 
@@ -29,13 +32,6 @@ T = TypeVar("T")
 class FunctionalGraph:
     size: int
     succ: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class CycleStats:
-    component_count: int
-    periodic_count: int
-    k_cycle_counts: dict[int, int]
 
 
 def build_graph(ctx: FieldCtx, m: Poly | RationalMap) -> FunctionalGraph:
@@ -54,8 +50,9 @@ def build_graph(ctx: FieldCtx, m: Poly | RationalMap) -> FunctionalGraph:
     return FunctionalGraph(inf + 1, (*succ, eval_rational(ctx, m, inf)))
 
 
-def cycle_census(g: FunctionalGraph) -> CycleStats:
-    """Cycle statistics in one walk over the vertices.
+def cycle_census(g: FunctionalGraph) -> tuple[int, ...]:
+    """The cycle type of g, its cycle lengths in ascending order, in one
+    walk over the vertices.
 
     Each walk marks the vertices it visits with its start (s + 1).  A walk
     that reaches its own mark has closed a new cycle, whose length is
@@ -78,11 +75,8 @@ def cycle_census(g: FunctionalGraph) -> CycleStats:
             while u != v:
                 length, u = length + 1, succ[u]
             lengths.append(length)
-    return CycleStats(
-        component_count=len(lengths),
-        periodic_count=sum(lengths),
-        k_cycle_counts=dict(Counter(lengths)),
-    )
+    lengths.sort()
+    return tuple(lengths)
 
 
 def brent_rho(f: Callable[[T], T], start: T) -> tuple[int, int]:

@@ -6,20 +6,23 @@ and structures in the same encodings the library uses, but none of the
 library's arithmetic shortcuts (discrete-log tables, Zech logs, path
 marking) appear in them.
 
-The helpers at the end of the file, field_pow, count_cycle_givers and
-the Moebius and conjugation block, are references of another kind: they
-use the library's field arithmetic (FieldCtx), polynomial helpers and
-canonical forms (canonicalize_rational), and check statements built on
-them, about powers or about maps, rather than the arithmetic itself.  No
-command or benchmark runs them.
+The helpers at the end of the file, per_map_sums, field_pow,
+count_cycle_givers and the Moebius and conjugation block, are references
+of another kind: they use the library's types (CycleSums), field
+arithmetic (FieldCtx), polynomial helpers and canonical forms
+(canonicalize_rational), and check statements built on them, about sums,
+powers or maps, rather than the arithmetic itself.  No command or
+benchmark runs them.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from itertools import product
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
+from fqdyn.census import CycleSums
 from fqdyn.ffield import FieldCtx, FqElem
 from fqdyn.fmaps import (
     CONSTANT_INFINITY,
@@ -152,6 +155,11 @@ def oracle_cycle_lengths(succ: list[int]) -> dict[int, int]:
     return lengths
 
 
+def oracle_cycle_type(succ: list[int]) -> tuple[int, ...]:
+    """Every cycle length, once per cycle, in ascending order."""
+    return tuple(sorted(k for k, n in oracle_cycle_lengths(succ).items() for _ in range(n)))
+
+
 def oracle_rho(succ: list[int], start: int) -> tuple[int, int]:
     """(tail_length, cycle_length) by recording first-visit positions."""
     pos: dict[int, int] = {}
@@ -182,6 +190,30 @@ def harmonic_like_sum(n: int, weight_extra_n: bool) -> Fraction:
         else:
             total += term / k
     return total
+
+
+def per_map_sums(cycle_counts: Iterable[Mapping[int, int]], kmax: int) -> CycleSums:
+    """The sums a report reads, added up one map at a time from each map's
+    cycle counts (length -> number of cycles of that length): the
+    reference for census.cycle_sums, which derives them once per cycle
+    type.  Lengths above kmax stay out of the per-length sums."""
+    n = comps = per = comps_sq = per_sq = 0
+    k_cycles: Counter = Counter()
+    k_cycles_sq: Counter = Counter()
+    for counts in cycle_counts:
+        c, p = sum(counts.values()), sum(k * m for k, m in counts.items())
+        n += 1
+        comps += c
+        per += p
+        comps_sq += c * c
+        per_sq += p * p
+        for k, m in counts.items():
+            if k <= kmax:
+                k_cycles[k] += m
+                k_cycles_sq[k] += m * m
+    return CycleSums(
+        n, comps, per, comps_sq, per_sq, dict(sorted(k_cycles.items())), dict(sorted(k_cycles_sq.items()))
+    )
 
 
 def field_pow(ctx: FieldCtx, a: FqElem, e: int) -> FqElem:

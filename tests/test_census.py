@@ -2,6 +2,7 @@
 closed forms, and determinism requirements."""
 
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 from hypothesis import given
@@ -329,6 +330,54 @@ class TestExhaustiveJobsIndependence:
         a = rat_census(F3, 1, jobs=1)
         b = rat_census(F3, 1, jobs=2)
         assert a.to_jsonable() == b.to_jsonable()
+
+
+KMAX_CASES = {  # (family, mode) -> the census, run at a kmax and a worker count
+    ("poly", "exhaustive"): lambda kmax, jobs: poly_census(F5, 3, kmax=kmax, jobs=jobs),
+    ("rational", "exhaustive"): lambda kmax, jobs: rat_census(F5, 2, kmax=kmax, jobs=jobs),
+    ("poly", "sampled"): lambda kmax, jobs: sampled_census(F5, 3, "poly", 300, seed=4, kmax=kmax, jobs=jobs),
+    ("rational", "sampled"): lambda kmax, jobs: sampled_census(F5, 2, "rational", 300, seed=4, kmax=kmax, jobs=jobs),
+}
+
+
+@lru_cache(maxsize=None)
+def _full_report(family: str, mode: str):
+    return KMAX_CASES[family, mode](None, 1)
+
+
+class TestKmaxAtReportTime:
+    """kmax only trims the per-length entries of a report: below the graph
+    size, every entry for k <= kmax equals the full report's, and every
+    aggregate entry is unchanged."""
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("family, mode", list(KMAX_CASES))
+    def test_report_entries_up_to_kmax(self, family, mode, jobs, monkeypatch):
+        monkeypatch.setattr(census, "usable_cpus", lambda: 2)
+        full = _full_report(family, mode)
+        assert max(full.avg_k_cycles) > 3  # so each kmax below drops lengths
+        for kmax in (1, 2, 3):
+            rep = KMAX_CASES[family, mode](kmax, jobs)
+            assert rep.kmax == kmax
+            assert rep.avg_k_cycles == {k: v for k, v in full.avg_k_cycles.items() if k <= kmax}
+            if mode == "sampled":
+                assert rep.stderr_k_cycles == {k: v for k, v in full.stderr_k_cycles.items() if k <= kmax}
+            else:
+                assert rep.stderr_k_cycles is full.stderr_k_cycles is None
+            per_length = [c for c in rep.theory_comparison if c.k is not None]
+            assert per_length and per_length == [c for c in full.theory_comparison if c.k is not None and c.k <= kmax]
+            assert [c for c in rep.theory_comparison if c.k is None] == [
+                c for c in full.theory_comparison if c.k is None
+            ]
+            for name in ("map_count", "avg_components", "avg_periodic", "stderr_components", "stderr_periodic"):
+                assert getattr(rep, name) == getattr(full, name)
+
+    @pytest.mark.parametrize("totals", [poly_cycle_totals_at_most, rat_cycle_totals_at_most])
+    def test_cycle_totals_up_to_kmax(self, totals):
+        full, count = totals(F5, 1)
+        assert max(full) > 3
+        for kmax in (1, 2, 3):
+            assert totals(F5, 1, kmax) == ({k: v for k, v in full.items() if k <= kmax}, count)
 
 
 class TestCycleGivers:

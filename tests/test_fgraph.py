@@ -1,17 +1,27 @@
-"""Cycle census and rho walks against naive oracles."""
+"""Cycle census, the sums derived from cycle types, and rho walks
+against naive oracles."""
 
 from __future__ import annotations
 
 import random
+from collections import Counter
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fqdyn.census import cycle_sums
 from fqdyn.ffield import make_field
 from fqdyn.fgraph import FunctionalGraph, brent_rho, build_graph, cycle_census
 from fqdyn.fmaps import CONSTANT_INFINITY, canonicalize_rational, enumerate_polys, enumerate_rationals
 
-from oracles import oracle_components, oracle_cycle_lengths, oracle_periodic_points, oracle_rho
+from oracles import (
+    oracle_components,
+    oracle_cycle_lengths,
+    oracle_cycle_type,
+    oracle_periodic_points,
+    oracle_rho,
+    per_map_sums,
+)
 
 F3 = make_field(3)
 F5 = make_field(5)
@@ -28,20 +38,23 @@ def test_build_graph_examples():
 
 
 def test_cycle_census_examples():
-    st_ = cycle_census(build_graph(F5, (0, 0, 1)))
-    assert st_.component_count == 2
-    assert st_.periodic_count == 2
-    assert st_.k_cycle_counts == {1: 2}
+    t = cycle_census(build_graph(F5, (0, 0, 1)))
+    assert t == (1, 1)
+    assert len(t) == 2
+    assert sum(t) == 2
+    assert Counter(t) == {1: 2}
 
-    st_ = cycle_census(build_graph(F3, (1, 1)))  # x + 1, one 3-cycle
-    assert st_.component_count == 1
-    assert st_.periodic_count == 3
-    assert st_.k_cycle_counts == {3: 1}
+    t = cycle_census(build_graph(F3, (1, 1)))  # x + 1, one 3-cycle
+    assert t == (3,)
+    assert len(t) == 1
+    assert sum(t) == 3
+    assert Counter(t) == {3: 1}
 
-    st_ = cycle_census(build_graph(F5, (2,)))  # constant
-    assert st_.component_count == 1
-    assert st_.periodic_count == 1
-    assert st_.k_cycle_counts == {1: 1}
+    t = cycle_census(build_graph(F5, (2,)))  # constant
+    assert t == (1,)
+    assert len(t) == 1
+    assert sum(t) == 1
+    assert Counter(t) == {1: 1}
 
 
 def test_rho_length_examples():
@@ -59,23 +72,26 @@ def test_stats_internal_invariants_exhaustive_small():
     for ctx in (make_field(2), F3, make_field(2, 2), F5):
         for d in (0, 1, 2):
             for f in enumerate_polys(ctx, d, "exactly"):
-                s = cycle_census(build_graph(ctx, f))
-                assert s.component_count == sum(s.k_cycle_counts.values())
-                assert sum(k * c for k, c in s.k_cycle_counts.items()) == s.periodic_count
+                t = cycle_census(build_graph(ctx, f))
+                assert list(t) == sorted(t) and t and min(t) >= 1
+                assert len(t) == sum(Counter(t).values())
+                assert sum(k * c for k, c in Counter(t).items()) == sum(t)
     for r in enumerate_rationals(F3, 1, "at_most"):
-        s = cycle_census(build_graph(F3, r))
-        assert s.component_count == sum(s.k_cycle_counts.values())
+        t = cycle_census(build_graph(F3, r))
+        assert list(t) == sorted(t) and t and min(t) >= 1
+        assert len(t) == sum(Counter(t).values())
 
 
 def test_census_matches_oracles_exhaustive():
     for ctx in (F3, F5):
         for f in enumerate_polys(ctx, 2, "exactly"):
             g = build_graph(ctx, f)
-            s = cycle_census(g)
+            t = cycle_census(g)
             succ = list(g.succ)
-            assert s.component_count == oracle_components(succ)
-            assert s.periodic_count == len(oracle_periodic_points(succ))
-            assert s.k_cycle_counts == oracle_cycle_lengths(succ)
+            assert t == oracle_cycle_type(succ)
+            assert len(t) == oracle_components(succ)
+            assert sum(t) == len(oracle_periodic_points(succ))
+            assert Counter(t) == oracle_cycle_lengths(succ)
 
 
 def test_census_matches_oracles_random_graphs():
@@ -84,11 +100,12 @@ def test_census_matches_oracles_random_graphs():
         size = rng.randrange(1, 64)
         succ = [rng.randrange(size) for _ in range(size)]
         g = FunctionalGraph(len(succ), tuple(succ))
-        s = cycle_census(g)
-        assert s.component_count == oracle_components(succ)
+        t = cycle_census(g)
+        assert t == oracle_cycle_type(succ)
+        assert len(t) == oracle_components(succ)
         periodic = oracle_periodic_points(succ)
-        assert s.periodic_count == len(periodic)
-        assert s.k_cycle_counts == oracle_cycle_lengths(succ)
+        assert sum(t) == len(periodic)
+        assert Counter(t) == oracle_cycle_lengths(succ)
         start = rng.randrange(size)
         assert brent_rho(lambda v: succ[v], start) == oracle_rho(succ, start)
 
@@ -99,8 +116,8 @@ def test_permutation_graphs_fully_periodic():
         size = rng.randrange(1, 50)
         perm = list(range(size))
         rng.shuffle(perm)
-        s = cycle_census(FunctionalGraph(len(perm), tuple(perm)))
-        assert s.periodic_count == size
+        t = cycle_census(FunctionalGraph(len(perm), tuple(perm)))
+        assert sum(t) == size
 
 
 @settings(max_examples=80, deadline=None)
@@ -137,7 +154,20 @@ def successor_tables(draw) -> list[int]:
 def test_census_agrees_with_oracles_on_drawn_tables(succ: list[int]):
     # components equal cycles in a functional graph; the census counts
     # cycles only, so the BFS component oracle is the independent check
-    s = cycle_census(FunctionalGraph(len(succ), tuple(succ)))
-    assert s.component_count == oracle_components(succ)
-    assert s.periodic_count == len(oracle_periodic_points(succ))
-    assert s.k_cycle_counts == oracle_cycle_lengths(succ)
+    t = cycle_census(FunctionalGraph(len(succ), tuple(succ)))
+    assert t == oracle_cycle_type(succ)
+    assert len(t) == oracle_components(succ)
+    assert sum(t) == len(oracle_periodic_points(succ))
+    assert Counter(t) == oracle_cycle_lengths(succ)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(successor_tables(), min_size=1, max_size=5), st.data())
+def test_sums_by_cycle_type_equal_per_map_sums(tables: list[list[int]], data):
+    """Sums derived once per cycle type, each weighted by its map count,
+    equal the same sums added map by map, squares included.  The maps
+    repeat drawn tables, so types carry weights above 1."""
+    maps = data.draw(st.lists(st.sampled_from(tables), min_size=1, max_size=24))
+    kmax = data.draw(st.integers(0, 66))
+    types = Counter(cycle_census(FunctionalGraph(len(s), tuple(s))) for s in maps)
+    assert cycle_sums(types, kmax) == per_map_sums([oracle_cycle_lengths(s) for s in maps], kmax)

@@ -4,21 +4,23 @@ The exhaustive census walks each block's slots as an odometer and reads
 every map's successors off value columns and addition-table rows.  The
 reference here decodes each slot on its own with the `fmaps` decoders,
 evaluates the map at every point by Horner's rule (`eval_poly`,
-`eval_rational`) and scans it; both must give the same tally over the
-same slots.  The census skips non-coprime pairs through a sieve built
+`eval_rational`), scans it and adds its statistics map by map
+(`oracles.per_map_sums`); the census block's cycle-type tally must give
+the same sums over the same slots.  The census skips non-coprime pairs through a sieve built
 once per denominator; the sieve is checked here against `poly_gcd`.
 """
 
 from __future__ import annotations
 
 import random
+from collections import Counter
 from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from fqdyn import census
-from fqdyn.census import POLY, RATIONAL, Tally, _census_block, _split_blocks
+from fqdyn.census import POLY, RATIONAL, CycleSums, _census_block, _split_blocks, cycle_sums
 from fqdyn.ffield import make_field
 from fqdyn.fgraph import FunctionalGraph, cycle_census
 from fqdyn.fmaps import (
@@ -31,6 +33,8 @@ from fqdyn.fmaps import (
     poly_exactly_at,
     poly_gcd,
 )
+
+from oracles import per_map_sums
 
 FAMILIES = {"poly": POLY, "rational": RATIONAL}
 # the acceptance gate's fields, then one extension field for p = 2 and one for p = 3
@@ -61,19 +65,23 @@ def horner_slot(ctx, family: str, d: int, mode: str, i: int):
     return CONSTANT_INFINITY if mode == "at_most" or d == 0 else None
 
 
-def horner_tally(ctx, family: str, d: int, mode: str, lo: int, hi: int) -> Tally:
+def horner_tally(ctx, family: str, d: int, mode: str, lo: int, hi: int) -> CycleSums:
     evaluate, size = (eval_poly, ctx.q) if family == "poly" else (eval_rational, ctx.q + 1)
-    tally = Tally()
+    counts = []
     for i in range(lo, hi):
         m = horner_slot(ctx, family, d, mode, i)
         if m is not None:
             succ = tuple(evaluate(ctx, m, x) for x in range(size))
-            tally.add(cycle_census(FunctionalGraph(size, succ)), ctx.q + 1)
-    return tally
+            counts.append(Counter(cycle_census(FunctionalGraph(size, succ))))
+    return per_map_sums(counts, ctx.q + 1)
 
 
-def column_tally(ctx, family: str, d: int, mode: str, lo: int, hi: int) -> Tally:
-    return _census_block(ctx, FAMILIES[family], d, mode, ctx.q + 1, None, lo, hi)
+def column_types(ctx, family: str, d: int, mode: str, lo: int, hi: int) -> Counter:
+    return _census_block(ctx, FAMILIES[family], d, mode, None, lo, hi)
+
+
+def column_tally(ctx, family: str, d: int, mode: str, lo: int, hi: int) -> CycleSums:
+    return cycle_sums(column_types(ctx, family, d, mode, lo, hi), ctx.q + 1)
 
 
 def slots(ctx, family: str, d: int, mode: str) -> int:
@@ -116,8 +124,8 @@ def test_block_splits_of_each_worker_count(p, n, family, d, jobs, monkeypatch):
     total = slots(ctx, family, d, "exactly")
     blocks = _split_blocks(total, jobs)
     assert len(blocks) == jobs
-    tallies = [column_tally(ctx, family, d, "exactly", lo, hi) for lo, hi in blocks]
-    assert sum(tallies, Tally()) == horner_tally(ctx, family, d, "exactly", 0, total)
+    tallies = [column_types(ctx, family, d, "exactly", lo, hi) for lo, hi in blocks]
+    assert cycle_sums(sum(tallies, Counter()), ctx.q + 1) == horner_tally(ctx, family, d, "exactly", 0, total)
 
 
 @pytest.mark.parametrize(
