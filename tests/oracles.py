@@ -155,9 +155,10 @@ def oracle_cycle_lengths(succ: list[int]) -> dict[int, int]:
     return lengths
 
 
-def oracle_cycle_type(succ: list[int]) -> tuple[int, ...]:
-    """Every cycle length, once per cycle, in ascending order."""
-    return tuple(sorted(k for k, n in oracle_cycle_lengths(succ).items() for _ in range(n)))
+def oracle_cycle_type(lengths: dict[int, int]) -> tuple[int, ...]:
+    """The cycle lengths of oracle_cycle_lengths, once per cycle, in
+    ascending order."""
+    return tuple(sorted(k for k, n in lengths.items() for _ in range(n)))
 
 
 def oracle_rho(succ: list[int], start: int) -> tuple[int, int]:

@@ -88,10 +88,11 @@ def test_census_matches_oracles_exhaustive():
             g = build_graph(ctx, f)
             t = cycle_census(g)
             succ = list(g.succ)
-            assert t == oracle_cycle_type(succ)
+            lengths = oracle_cycle_lengths(succ)
+            assert t == oracle_cycle_type(lengths)
             assert len(t) == oracle_components(succ)
             assert sum(t) == len(oracle_periodic_points(succ))
-            assert Counter(t) == oracle_cycle_lengths(succ)
+            assert Counter(t) == lengths
 
 
 def test_census_matches_oracles_random_graphs():
@@ -101,11 +102,12 @@ def test_census_matches_oracles_random_graphs():
         succ = [rng.randrange(size) for _ in range(size)]
         g = FunctionalGraph(len(succ), tuple(succ))
         t = cycle_census(g)
-        assert t == oracle_cycle_type(succ)
+        lengths = oracle_cycle_lengths(succ)
+        assert t == oracle_cycle_type(lengths)
         assert len(t) == oracle_components(succ)
         periodic = oracle_periodic_points(succ)
         assert sum(t) == len(periodic)
-        assert Counter(t) == oracle_cycle_lengths(succ)
+        assert Counter(t) == lengths
         start = rng.randrange(size)
         assert brent_rho(lambda v: succ[v], start) == oracle_rho(succ, start)
 
@@ -137,10 +139,10 @@ def test_rho_tail_plus_cycle_is_distinct_visits(raw: list[int], data):
 
 
 @st.composite
-def successor_tables(draw) -> list[int]:
-    """Any self-map of 1..64 points, with permutations and constant maps
-    drawn on purpose since they are the edge cases of the cycle walk."""
-    size = draw(st.integers(1, 64))
+def successor_tables(draw, max_size: int = 64) -> list[int]:
+    """Any self-map of 1..max_size points, with permutations and constant
+    maps drawn on purpose since they are the edge cases of the cycle walk."""
+    size = draw(st.integers(1, max_size))
     kind = draw(st.sampled_from(("any", "permutation", "constant")))
     if kind == "permutation":
         return draw(st.permutations(range(size)))
@@ -155,19 +157,21 @@ def test_census_agrees_with_oracles_on_drawn_tables(succ: list[int]):
     # components equal cycles in a functional graph; the census counts
     # cycles only, so the BFS component oracle is the independent check
     t = cycle_census(FunctionalGraph(len(succ), tuple(succ)))
-    assert t == oracle_cycle_type(succ)
+    lengths = oracle_cycle_lengths(succ)
+    assert t == oracle_cycle_type(lengths)
     assert len(t) == oracle_components(succ)
     assert sum(t) == len(oracle_periodic_points(succ))
-    assert Counter(t) == oracle_cycle_lengths(succ)
+    assert Counter(t) == lengths
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.lists(successor_tables(), min_size=1, max_size=5), st.data())
+@given(st.lists(successor_tables(max_size=12), min_size=1, max_size=6), st.data())
 def test_sums_by_cycle_type_equal_per_map_sums(tables: list[list[int]], data):
     """Sums derived once per cycle type, each weighted by its map count,
     equal the same sums added map by map, squares included.  The maps
-    repeat drawn tables, so types carry weights above 1."""
+    repeat drawn tables, and small tables share types, so types carry
+    weights above 1."""
     maps = data.draw(st.lists(st.sampled_from(tables), min_size=1, max_size=24))
-    kmax = data.draw(st.integers(0, 66))
+    kmax = data.draw(st.integers(0, 13))
     types = Counter(cycle_census(FunctionalGraph(len(s), tuple(s))) for s in maps)
     assert cycle_sums(types, kmax) == per_map_sums([oracle_cycle_lengths(s) for s in maps], kmax)
