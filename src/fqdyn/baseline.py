@@ -19,6 +19,7 @@ from itertools import combinations
 from typing import Callable, Iterator
 
 from .census import BudgetError, TheoryComparison, _check_budget, compare, cycle_sums, mean_stderr, run_blocks
+from .ffield import digits
 from .fgraph import FunctionalGraph, cycle_census
 from .reportio import frac_json
 from .seeding import per_index_rng
@@ -42,16 +43,12 @@ def sample_random_map(n: int, seed: int) -> FunctionalGraph:
 
 
 def _random_map(n: int, rng) -> FunctionalGraph:
-    return FunctionalGraph(n, tuple(rng.randrange(n) for _ in range(n)))
+    return FunctionalGraph(tuple(rng.randrange(n) for _ in range(n)))
 
 
 def _map_at(n: int, idx: int) -> FunctionalGraph:
     """Self-map number idx of the n^n, its values the base-n digits of idx."""
-    out = []
-    for _ in range(n):
-        idx, v = divmod(idx, n)
-        out.append(v)
-    return FunctionalGraph(n, tuple(out))
+    return FunctionalGraph(tuple(digits(idx, n, n)))
 
 
 def _multiset_assignments(t: int, m: int, total: int) -> Iterator[tuple[int, ...]]:
@@ -93,7 +90,7 @@ def enumerate_quadratic_graphs(m: int, t: int) -> Iterator[FunctionalGraph]:
         )
     for image in combinations(range(size), t):
         for labels in _multiset_assignments(t, m, size):
-            yield FunctionalGraph(size, tuple(image[lab] for lab in labels))
+            yield FunctionalGraph(tuple(image[lab] for lab in labels))
 
 
 def _quadratic_graph(m: int, t: int, rng) -> FunctionalGraph:
@@ -102,7 +99,7 @@ def _quadratic_graph(m: int, t: int, rng) -> FunctionalGraph:
     image = sorted(rng.sample(range(size), t))
     labels = [i for i in range(t) for _ in range(m)]
     rng.shuffle(labels)
-    return FunctionalGraph(size, tuple(image[lab] for lab in labels))
+    return FunctionalGraph(tuple(image[lab] for lab in labels))
 
 
 @dataclass(frozen=True)

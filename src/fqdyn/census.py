@@ -37,9 +37,9 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import reduce
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
-from .ffield import FieldCtx, FqElem
+from .ffield import FieldCtx, FqElem, undigits
 from .fgraph import FunctionalGraph, brent_rho, build_graph, cycle_census
 from .fmaps import (
     Poly,
@@ -251,6 +251,16 @@ def _poly_successors(ctx: FieldCtx, d: int, mode: str, lo: int, hi: int):
             yield at(add_row(c))
 
 
+def _monic_divisors(ctx: FieldCtx, f: Poly, degrees: range) -> Iterator[Poly]:
+    """The monic divisors of f whose degree is in degrees, found by trial
+    division in the order of monic_poly_at."""
+    for k in degrees:
+        for i in range(ctx.q**k):
+            g = monic_poly_at(ctx, k, i)
+            if not poly_divmod(ctx, f, g)[1]:
+                yield g
+
+
 def _shared_factor_slots(ctx: FieldCtx, d: int, den: Poly) -> set[int]:
     """Slots (poly_at_most_at indices) of the numerators of degree <= d
     that share a factor with the monic den.
@@ -263,16 +273,9 @@ def _shared_factor_slots(ctx: FieldCtx, d: int, den: Poly) -> set[int]:
     q, e = ctx.q, len(den) - 1
     if e < 1:
         return set()
-    divisors = [
-        g
-        for k in range(1, e)
-        for g in (monic_poly_at(ctx, k, i) for i in range(q**k))
-        if not poly_divmod(ctx, den, g)[1]
-    ]
-    weights = [q**t for t in range(d + 1)]
     return {
-        sum(map(operator.mul, poly_mul(ctx, g, poly_at_most_at(ctx, d - len(g) + 1, j)), weights))
-        for g in [*divisors, den]
+        undigits(poly_mul(ctx, g, poly_at_most_at(ctx, d - len(g) + 1, j)), q)
+        for g in [*_monic_divisors(ctx, den, range(1, e)), den]
         for j in range(q ** (d - len(g) + 2))
     }
 
@@ -570,7 +573,7 @@ def _rat_comparisons(rep: CensusReport) -> tuple[TheoryComparison, ...]:
     out: list[TheoryComparison] = []
     for k in range(1, min(d + 1, kmax) + 1):
         b = theory.rat_avg_k_bounds(q, d, k)
-        lower = b.lower if k <= d else None
+        lower = b.lower if b.lower_applies else None
         out.append(
             compare(
                 "rat_avg_k_bounds" if lower is not None else "rat_avg_k_upper",
@@ -666,8 +669,7 @@ def _census_block(
     enumeration, or, with a seed, the maps drawn from each index's own
     random stream."""
     if seed is None:
-        size = family.vertices(ctx)
-        graphs = (FunctionalGraph(size, succ) for succ in family.successors(ctx, d, mode, start, stop))
+        graphs = map(FunctionalGraph, family.successors(ctx, d, mode, start, stop))
     else:
         graphs = (build_graph(ctx, family.sample(ctx, d, per_index_rng(seed, i))) for i in range(start, stop))
     return Counter(map(cycle_census, graphs))
@@ -830,14 +832,8 @@ def rat_cycle_totals_at_most(
 
 
 def _is_irreducible_poly(ctx: FieldCtx, f: Poly) -> bool:
-    """Trial division over monic polynomials of degree 1..deg(f)//2."""
-    deg = len(f) - 1
-    for m in range(1, deg // 2 + 1):
-        for idx in range(ctx.q**m):
-            div = monic_poly_at(ctx, m, idx)
-            if poly_divmod(ctx, f, div)[1] == ():
-                return False
-    return True
+    """No monic divisor of degree 1..deg(f)//2."""
+    return next(_monic_divisors(ctx, f, range(1, (len(f) - 1) // 2 + 1)), None) is None
 
 
 def enumerate_S(
@@ -878,15 +874,19 @@ def enumerate_S(
     return count
 
 
-def random_constraint_instance(
-    ctx: FieldCtx, rng, max_points: int = 3, max_total_degree: int = 5
-) -> tuple[Poly, Poly, tuple[FqElem, ...], tuple[FqElem, ...]]:
+# random_constraint_instance draws at most this many interpolation points,
+# and g0 g1 of at most this degree
+INSTANCE_MAX_POINTS = 3
+INSTANCE_MAX_TOTAL_DEGREE = 5
+
+
+def random_constraint_instance(ctx: FieldCtx, rng) -> tuple[Poly, Poly, tuple[FqElem, ...], tuple[FqElem, ...]]:
     """Pseudo-random valid (g0, g1, betas, gammas) instance for enumerate_S.
 
     Mixes the three solvability shapes: trivial g0, g0 linear through
     one of the betas, and g0 irreducible away from the betas.
     """
-    m = rng.randrange(1, min(max_points, ctx.q) + 1)
+    m = rng.randrange(1, min(INSTANCE_MAX_POINTS, ctx.q) + 1)
     betas = tuple(rng.sample(range(ctx.q), m))
     shape = rng.randrange(3)
     if shape == 0:
@@ -894,12 +894,12 @@ def random_constraint_instance(
     elif shape == 1:
         g0 = (ctx.neg(rng.choice(betas)), 1)
     else:
-        deg0 = rng.randrange(1, max_total_degree)
+        deg0 = rng.randrange(1, INSTANCE_MAX_TOTAL_DEGREE)
         while True:
             g0 = monic_poly_at(ctx, deg0, rng.randrange(ctx.q**deg0))
             if deg0 == 1 or _is_irreducible_poly(ctx, g0):
                 break
-    deg1 = rng.randrange(0, max_total_degree - (len(g0) - 1) + 1)
+    deg1 = rng.randrange(0, INSTANCE_MAX_TOTAL_DEGREE - (len(g0) - 1) + 1)
     g1 = monic_poly_at(ctx, deg1, rng.randrange(ctx.q**deg1))
     gammas = tuple(rng.randrange(ctx.q) for _ in betas)
     return g0, g1, betas, gammas

@@ -29,7 +29,6 @@ import sys
 from pathlib import Path
 
 from .census import (
-    BudgetError,
     enumerate_S,
     poly_census,
     poly_cycle_totals_at_most,
@@ -470,9 +469,6 @@ def run(argv: list[str] | None = None) -> int:
             config, rep, has_fail = _cmd_theory(args)
         else:
             config, rep, has_fail = _cmd_rho(args, jobs)
-    except BudgetError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -6,6 +6,12 @@ stands for the residue sum(d_i * t**i) modulo the defining polynomial.
 Handle 0 is the additive identity and handle 1 the multiplicative
 identity, for every field.
 
+digits and undigits are the package's one base-b digit codec, least
+significant digit first.  Handles, the p = 2 modulus bits and every
+enumeration index (polynomials and rational maps in fmaps and census,
+self-maps in baseline) go through them, so they fix the index order:
+the constant term, or the value at point 0, runs fastest.
+
 Multiplication and inversion go through discrete-log/antilog tables for
 fields up to TABLE_CAP elements.  In characteristic 2 a handle is
 a GF(2) bit vector, so addition and subtraction are XOR and negation is
@@ -23,6 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import partial
 from itertools import product
+from typing import Sequence
 
 FqElem = int
 
@@ -120,22 +127,24 @@ class FieldCtx:
         return self.exp_table[self.q - 1 - self.log_table[a]]
 
 
-# Digit-vector arithmetic over GF(p), used for construction and as the
-# reference path the tables are built from.
-
-
-def _digits(a: int, p: int, n: int) -> list[int]:
-    out = [0] * n
-    for i in range(n):
-        a, out[i] = divmod(a, p)
+def digits(a: int, base: int, count: int) -> list[int]:
+    """The count lowest base-`base` digits of a, least significant first."""
+    out = [0] * count
+    for i in range(count):
+        a, out[i] = divmod(a, base)
     return out
 
 
-def _undigits(ds: list[int], p: int) -> int:
+def undigits(ds: Sequence[int], base: int) -> int:
+    """The integer whose base-`base` digits, least significant first, are ds."""
     out = 0
     for d in reversed(ds):
-        out = out * p + d
+        out = out * base + d
     return out
+
+
+# Digit-vector arithmetic over GF(p), used for construction and as the
+# reference path the tables are built from.
 
 
 def _gfp_poly_mod(a: list[int], b: list[int], p: int) -> list[int]:
@@ -155,8 +164,8 @@ def _gfp_poly_mod(a: list[int], b: list[int], p: int) -> list[int]:
 
 
 def _slow_mul(a: int, b: int, modulus: tuple[int, ...], p: int, n: int) -> int:
-    da = _digits(a, p, n)
-    db = _digits(b, p, n)
+    da = digits(a, p, n)
+    db = digits(b, p, n)
     prod = [0] * (2 * n - 1)
     for i, ca in enumerate(da):
         if ca:
@@ -164,7 +173,7 @@ def _slow_mul(a: int, b: int, modulus: tuple[int, ...], p: int, n: int) -> int:
                 prod[i + j] = (prod[i + j] + ca * cb) % p
     rem = _gfp_poly_mod(prod, list(modulus), p)
     rem += [0] * (n - len(rem))
-    return _undigits(rem, p)
+    return undigits(rem, p)
 
 
 def _gf2_mul(a: int, b: int, modulus: int, n: int) -> int:
@@ -221,7 +230,7 @@ def _build_tables(
     trivial group.  Only odd-p extension fields get a Zech table.
     """
     if p == 2:
-        mul = partial(_gf2_mul, modulus=sum(c << i for i, c in enumerate(modulus)), n=n)
+        mul = partial(_gf2_mul, modulus=undigits(modulus, 2), n=n)
     else:
         mul = partial(_slow_mul, modulus=modulus, p=p, n=n)
     exp = [1]

@@ -1,14 +1,15 @@
 """Functional graphs of self-maps and their cycle statistics.
 
-A functional graph has one outgoing edge per vertex, so every weakly
-connected component contains exactly one cycle: the component count is
-the cycle count, and the periodic points are the vertices on cycles.
-The census below therefore needs only the cycles, which it finds in a
-single O(size) walk over the vertices.  It returns the map's cycle type,
-the sorted tuple of its cycle lengths: every statistic a census reports
-(components, periodic points, k-cycles) is a function of it, so a census
-counts maps per type and derives the sums once per type
-(census.cycle_sums).
+A functional graph is its successor tuple: vertex v goes to succ[v],
+and its size is len(succ).  It has one outgoing edge per vertex, so
+every weakly connected component contains exactly one cycle: the
+component count is the cycle count, and the periodic points are the
+vertices on cycles.  The census below therefore needs only the cycles,
+which it finds in a single O(size) walk over the vertices.  It returns
+the map's cycle type, the sorted tuple of its cycle lengths: every
+statistic a census reports (components, periodic points, k-cycles) is a
+function of it, so a census counts maps per type and derives the sums
+once per type (census.cycle_sums).
 
 build_graph reads a sampled map's values at every point off whole value
 columns (fmaps.poly_values), a rational map's from one numerator and one
@@ -30,8 +31,13 @@ T = TypeVar("T")
 
 @dataclass(frozen=True)
 class FunctionalGraph:
-    size: int
+    """Vertex v goes to succ[v]; the vertices are range(len(succ))."""
+
     succ: tuple[int, ...]
+
+    @property
+    def size(self) -> int:
+        return len(self.succ)
 
 
 def build_graph(ctx: FieldCtx, m: Poly | RationalMap) -> FunctionalGraph:
@@ -43,11 +49,11 @@ def build_graph(ctx: FieldCtx, m: Poly | RationalMap) -> FunctionalGraph:
     whose denominator is 0); infinity goes where eval_rational sends it.
     """
     if not isinstance(m, RationalMap):
-        return FunctionalGraph(ctx.q, poly_values(ctx, m))
+        return FunctionalGraph(poly_values(ctx, m))
     inf = ctx.q
     nums, dens = poly_values(ctx, m.num), poly_values(ctx, m.den)
     succ = [ctx.mul(n, ctx.inv(v)) if v else inf for n, v in zip(nums, dens)]
-    return FunctionalGraph(inf + 1, (*succ, eval_rational(ctx, m, inf)))
+    return FunctionalGraph((*succ, eval_rational(ctx, m, inf)))
 
 
 def cycle_census(g: FunctionalGraph) -> tuple[int, ...]:
@@ -60,9 +66,9 @@ def cycle_census(g: FunctionalGraph) -> tuple[int, ...]:
     joined a component already counted.
     """
     succ = g.succ
-    mark = [0] * g.size
+    mark = [0] * len(succ)
     lengths: list[int] = []
-    for s in range(g.size):
+    for s in range(len(succ)):
         if mark[s]:
             continue
         tag = s + 1

@@ -22,7 +22,7 @@ from functools import partial, reduce
 from itertools import chain, islice, repeat
 from typing import Iterable, Iterator, Literal, Sequence
 
-from .ffield import FieldCtx, FqElem
+from .ffield import FieldCtx, FqElem, digits
 
 Poly = tuple[FqElem, ...]
 ProjPoint = int
@@ -195,7 +195,9 @@ def eval_rational(ctx: FieldCtx, r: RationalMap, x: ProjPoint) -> ProjPoint:
 
 
 # Enumeration.  Polynomials of bounded degree decode from a base-q
-# index, which lets callers split the index range across workers.
+# index (ffield.digits, constant term fastest), which lets callers split
+# the index range across workers.  Each decoder calls digits itself, never
+# another decoder, so a count of one decoder's calls counts its own slots.
 
 
 def poly_at_most_count(ctx: FieldCtx, d: int) -> int:
@@ -203,12 +205,7 @@ def poly_at_most_count(ctx: FieldCtx, d: int) -> int:
 
 
 def poly_at_most_at(ctx: FieldCtx, d: int, idx: int) -> Poly:
-    q = ctx.q
-    out = []
-    for _ in range(d + 1):
-        idx, c = divmod(idx, q)
-        out.append(c)
-    return normalize_poly(out)
+    return normalize_poly(digits(idx, ctx.q, d + 1))
 
 
 def poly_exactly_count(ctx: FieldCtx, d: int) -> int:
@@ -220,15 +217,7 @@ def poly_exactly_count(ctx: FieldCtx, d: int) -> int:
 def poly_exactly_at(ctx: FieldCtx, d: int, idx: int) -> Poly:
     if d == 0:
         return (idx,) if idx else ()
-    q = ctx.q
-    lead = 1 + idx // q**d
-    low = idx % q**d
-    out = []
-    for _ in range(d):
-        low, c = divmod(low, q)
-        out.append(c)
-    out.append(lead)
-    return tuple(out)
+    return (*digits(idx, ctx.q, d), 1 + idx // ctx.q**d)
 
 
 def enumerate_polys(ctx: FieldCtx, d: int, mode: EnumMode = "exactly") -> Iterator[Poly]:
@@ -246,13 +235,7 @@ def enumerate_polys(ctx: FieldCtx, d: int, mode: EnumMode = "exactly") -> Iterat
 
 def monic_poly_at(ctx: FieldCtx, e: int, idx: int) -> Poly:
     """Monic polynomial of degree e with lower coefficients decoded from idx."""
-    q = ctx.q
-    out = []
-    for _ in range(e):
-        idx, c = divmod(idx, q)
-        out.append(c)
-    out.append(1)
-    return tuple(out)
+    return (*digits(idx, ctx.q, e), 1)
 
 
 def enumerate_rationals(ctx: FieldCtx, d: int, mode: EnumMode = "exactly") -> Iterator[RationalMap]:

@@ -100,7 +100,7 @@ def test_census_matches_oracles_random_graphs():
     for _ in range(200):
         size = rng.randrange(1, 64)
         succ = [rng.randrange(size) for _ in range(size)]
-        g = FunctionalGraph(len(succ), tuple(succ))
+        g = FunctionalGraph(tuple(succ))
         t = cycle_census(g)
         lengths = oracle_cycle_lengths(succ)
         assert t == oracle_cycle_type(lengths)
@@ -118,7 +118,7 @@ def test_permutation_graphs_fully_periodic():
         size = rng.randrange(1, 50)
         perm = list(range(size))
         rng.shuffle(perm)
-        t = cycle_census(FunctionalGraph(len(perm), tuple(perm)))
+        t = cycle_census(FunctionalGraph(tuple(perm)))
         assert sum(t) == size
 
 
@@ -156,7 +156,7 @@ def successor_tables(draw, max_size: int = 64) -> list[int]:
 def test_census_agrees_with_oracles_on_drawn_tables(succ: list[int]):
     # components equal cycles in a functional graph; the census counts
     # cycles only, so the BFS component oracle is the independent check
-    t = cycle_census(FunctionalGraph(len(succ), tuple(succ)))
+    t = cycle_census(FunctionalGraph(tuple(succ)))
     lengths = oracle_cycle_lengths(succ)
     assert t == oracle_cycle_type(lengths)
     assert len(t) == oracle_components(succ)
@@ -173,5 +173,5 @@ def test_sums_by_cycle_type_equal_per_map_sums(tables: list[list[int]], data):
     weights above 1."""
     maps = data.draw(st.lists(st.sampled_from(tables), min_size=1, max_size=24))
     kmax = data.draw(st.integers(0, 13))
-    types = Counter(cycle_census(FunctionalGraph(len(s), tuple(s))) for s in maps)
+    types = Counter(cycle_census(FunctionalGraph(tuple(s))) for s in maps)
     assert cycle_sums(types, kmax) == per_map_sums([oracle_cycle_lengths(s) for s in maps], kmax)

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+from itertools import product
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fqdyn.ffield import make_field
+from fqdyn.baseline import _map_at
+from fqdyn.ffield import digits, make_field, undigits
 from fqdyn.fmaps import (
     CONSTANT_INFINITY,
     RationalMap,
@@ -15,9 +18,12 @@ from fqdyn.fmaps import (
     enumerate_rationals,
     eval_poly,
     eval_rational,
+    monic_poly_at,
     normalize_poly,
+    poly_at_most_at,
     poly_degree,
     poly_divmod,
+    poly_exactly_at,
     poly_gcd,
     poly_mul,
 )
@@ -179,6 +185,30 @@ def test_enumeration_is_deterministic():
 
 
 # --- Moebius and conjugation (reference helpers in oracles) -------------------
+
+
+def lowest_first(*coefficient_ranges) -> list[tuple[int, ...]]:
+    """Every coefficient tuple, the first range's coefficient fastest:
+    itertools.product runs its last factor fastest, so it is given the
+    ranges in reverse and each tuple is turned back."""
+    return [t[::-1] for t in product(*coefficient_ranges[::-1])]
+
+
+@pytest.mark.parametrize("ctx", [F2, F3, F4, F5], ids=lambda ctx: f"q{ctx.q}")
+def test_decoders_follow_product_order(ctx):
+    """Slot i of each decoder holds the i-th coefficient tuple, the
+    constant term (or the value at point 0) fastest; the census odometer,
+    the sampler index spaces and the benchmark's counters depend on it."""
+    q, every = ctx.q, range(ctx.q)
+    for d in range(4):
+        at_most = lowest_first(*[every] * (d + 1))
+        assert [poly_at_most_at(ctx, d, i) for i in range(q ** (d + 1))] == list(map(normalize_poly, at_most))
+        exactly = lowest_first(*[every] * d, range(1, q) if d else every)
+        assert [poly_exactly_at(ctx, d, i) for i in range(len(exactly))] == list(map(normalize_poly, exactly))
+        assert [monic_poly_at(ctx, d, i) for i in range(q**d)] == lowest_first(*[every] * d, [1])
+        for a in range(q**d):
+            assert undigits(digits(a, q, d), q) == a
+    assert [_map_at(q, i).succ for i in range(q**q)] == lowest_first(*[every] * q)
 
 
 def test_mobius_counts():

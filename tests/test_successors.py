@@ -73,7 +73,7 @@ def horner_tally(ctx, family: str, d: int, mode: str, lo: int, hi: int) -> Cycle
         m = horner_slot(ctx, family, d, mode, i)
         if m is not None:
             succ = tuple(evaluate(ctx, m, x) for x in range(size))
-            counts.append(Counter(cycle_census(FunctionalGraph(size, succ))))
+            counts.append(Counter(cycle_census(FunctionalGraph(succ))))
     return per_map_sums(counts, ctx.q + 1)
 
 
