@@ -195,7 +195,7 @@ def exhaustive_random_stats(n: int, jobs: int = 1, budget: int | None = None) ->
             f"({n}^{n} maps); use sampling instead"
         )
     _check_budget(n**n * n, budget, f"exhaustive random baseline of {n}^{n} maps", "use sampling instead")
-    types = run_blocks(_graph_block, (_map_at, (n,), None), n**n, jobs)
+    types = run_blocks(_graph_block, [((_map_at, (n,), None), n**n)], jobs)
     th = random_map_stats(n)
     checks = (
         ("random_components_exact", "components", th.components_exact),
@@ -261,5 +261,5 @@ def baseline_census(
             ("components_z_asymptotic", "components", Fraction(random_components_asymptotic(n))),
             ("periodic_z_asymptotic", "periodic", Fraction(random_periodic_asymptotic(n))),
         )
-    types = run_blocks(_graph_block, (make, args, seed), samples, jobs)
+    types = run_blocks(_graph_block, [((make, args, seed), samples)], jobs)
     return _baseline_report(kind, "sampled", size, types, checks, seed=seed, **extra)

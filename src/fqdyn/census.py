@@ -1,14 +1,19 @@
 """Exhaustive and sampled censuses of cycle statistics, with the
 closed-form values attached as pass/fail comparisons.
 
-Every run, census, baseline or rho, is one pipeline: an index range is
-split into contiguous blocks, each block turns its indices into maps
-and counts them in a Counter, and the blocks' Counters merge by plain
-addition.  Addition is associative and commutative, so every worker
-count and schedule yields byte-identical reports.  Census and baseline
-blocks count maps by cycle type, the sorted tuple of cycle lengths
-(fgraph.cycle_census); a report derives every sum it reads once per
-type (cycle_sums), and kmax applies only there.
+Every run, census, baseline or rho, is one pipeline: a run is a list of
+tasks, each an index range split into contiguous blocks; each block
+turns its indices into maps and counts them in a Counter, and the
+blocks' Counters merge by plain addition.  Addition is associative and
+commutative, so every worker count and schedule yields byte-identical
+reports.  Census and baseline blocks count maps by cycle type, the
+sorted tuple of cycle lengths (fgraph.cycle_census); a report derives
+every sum it reads once per type (cycle_sums), and kmax applies only
+there.
+
+The exhaustive census walks the maps of one exact degree.  Totals over
+degree <= d, the disjoint union of degrees 0..d, are one run with a
+task per degree.
 
 No census evaluates a map point by point.  An exhaustive block decodes
 its first slot once and walks the rest as an odometer, building each
@@ -50,7 +55,6 @@ from .fmaps import (
     monic_poly_at,
     normalize_poly,
     poly_at_most_at,
-    poly_at_most_count,
     poly_divmod,
     poly_exactly_at,
     poly_exactly_count,
@@ -159,27 +163,23 @@ def _split_blocks(total: int, jobs: int) -> list[tuple[int, int]]:
     return blocks
 
 
-def run_blocks(fn: Callable, args: tuple, total: int, jobs: int):
-    """fn(*args, lo, hi) over contiguous blocks covering range(total), one
-    worker process per block when jobs > 1, never more blocks than usable
-    CPUs; the results merge with +."""
-    blocks = _split_blocks(total, jobs)
-    if len(blocks) <= 1:
-        return fn(*args, 0, total)
-    with ProcessPoolExecutor(max_workers=len(blocks)) as pool:
-        futures = [pool.submit(fn, *args, lo, hi) for lo, hi in blocks]
+def run_blocks(fn: Callable, tasks: Sequence[tuple[tuple, int]], jobs: int):
+    """fn(*args, lo, hi) over contiguous blocks covering range(total), for
+    each task (args, total).  Each task splits into at most jobs blocks,
+    never more than usable CPUs; when any task splits, every block runs in
+    one pool sized by the largest split.  The results merge with +, in
+    task order, then block order."""
+    splits = [(args, _split_blocks(total, jobs)) for args, total in tasks]
+    blocks = [(*args, lo, hi) for args, split in splits for lo, hi in split]
+    workers = max(len(split) for _, split in splits)
+    if workers <= 1:
+        return reduce(operator.add, (fn(*b) for b in blocks))
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        futures = [pool.submit(fn, *b) for b in blocks]
         return reduce(operator.add, (f.result() for f in futures))
 
 
 # --- enumeration index spaces and samplers --------------------------------------
-
-
-def _poly_count(ctx: FieldCtx, d: int, mode: str) -> int:
-    return poly_exactly_count(ctx, d) if mode == "exactly" else poly_at_most_count(ctx, d)
-
-
-def _poly_decode(ctx: FieldCtx, d: int, mode: str, i: int) -> Poly:
-    return poly_exactly_at(ctx, d, i) if mode == "exactly" else poly_at_most_at(ctx, d, i)
 
 
 def _rational_raw_count(ctx: FieldCtx, d: int) -> int:
@@ -189,12 +189,12 @@ def _rational_raw_count(ctx: FieldCtx, d: int) -> int:
     return q ** (d + 1) * sum(q**e for e in range(d + 1))
 
 
-def _rational_index_count(ctx: FieldCtx, d: int, mode: str) -> int:
+def _rational_index_count(ctx: FieldCtx, d: int) -> int:
     return _rational_raw_count(ctx, d) + 1  # the constant-infinity slot
 
 
-def _rational_map_count(ctx: FieldCtx, d: int, mode: str) -> int:
-    return theory.rat_count(ctx.q, d, mode)
+def _rational_map_count(ctx: FieldCtx, d: int) -> int:
+    return theory.rat_count(ctx.q, d, "exactly")
 
 
 # --- successor tables of an exhaustive block, from running column sums ---------
@@ -241,11 +241,11 @@ def _column_runs(ctx: FieldCtx, d: int, start: Poly, count: int):
         a0, count = a0 + n, count - n
 
 
-def _poly_successors(ctx: FieldCtx, d: int, mode: str, lo: int, hi: int):
-    """Successor tuple of each polynomial in slots [lo, hi): one row of the
-    addition table of its constant term, read at the column s1."""
+def _poly_successors(ctx: FieldCtx, d: int, lo: int, hi: int):
+    """Successor tuple of each polynomial of degree d in slots [lo, hi): one
+    row of the addition table of its constant term, read at the column s1."""
     add_row = _op_rows(ctx, ctx.add)
-    for _, s1, consts in _column_runs(ctx, d, _poly_decode(ctx, d, mode, lo), hi - lo):
+    for _, s1, consts in _column_runs(ctx, d, poly_exactly_at(ctx, d, lo), hi - lo):
         at = operator.itemgetter(*s1)
         for c in consts:
             yield at(add_row(c))
@@ -280,19 +280,20 @@ def _shared_factor_slots(ctx: FieldCtx, d: int, den: Poly) -> set[int]:
     }
 
 
-def _rational_successors(ctx: FieldCtx, d: int, mode: str, lo: int, hi: int):
-    """Successor tuple of each rational map in raw-pair slots [lo, hi).
+def _rational_successors(ctx: FieldCtx, d: int, lo: int, hi: int):
+    """Successor tuple of each rational map of degree d in raw-pair slots
+    [lo, hi).
 
     Slots run over monic denominators by degree e, numerators of degree
     <= d fastest; the slot after the last pair holds the constant-infinity
-    map.  Slots outside the mode yield nothing, and so do the numerators
-    that share a factor with their denominator: a sieve marks them once
-    per denominator (_shared_factor_slots), and the numerator walk skips
-    a slot by looking its running index up, with no gcd per pair.  Both
-    walks reuse the polynomial columns: a denominator's value column is
-    fixed while its numerators run, a point where it vanishes goes to
-    infinity, and infinity goes where the degrees and the numerator's
-    leading coefficient send it.
+    map, of degree 0.  Slots of lower degree yield nothing, and so do the
+    numerators that share a factor with their denominator: a sieve marks
+    them once per denominator (_shared_factor_slots), and the numerator
+    walk skips a slot by looking its running index up, with no gcd per
+    pair.  Both walks reuse the polynomial columns: a denominator's value
+    column is fixed while its numerators run, a point where it vanishes
+    goes to infinity, and infinity goes where the degrees and the
+    numerator's leading coefficient send it.
     """
     q = inf = ctx.q
     num_count = q ** (d + 1)
@@ -320,16 +321,14 @@ def _rational_successors(ctx: FieldCtx, d: int, mode: str, lo: int, hi: int):
                     top = max((j for j, a in enumerate(high, 1) if a), default=0)
                     for ni, c in enumerate(consts, ni + 1):
                         deg = top or (0 if c else -1)  # -1 for the zero numerator
-                        if mode == "exactly" and max(deg, e) != d:
-                            continue
-                        if ni in shared:
+                        if max(deg, e) != d or ni in shared:
                             continue
                         lead = high[top - 1] if top else c
                         image = inf if deg > e else lead if deg == e else 0
                         yield (*map(operator.getitem, divide, at(add_row(c))), image)
                 first += n
                 num_idx, num_start = 0, ()
-    if lo <= base < hi and (mode == "at_most" or d == 0):
+    if lo <= base < hi and d == 0:
         yield (inf,) * (q + 1)
 
 
@@ -608,20 +607,19 @@ def _rat_comparisons(rep: CensusReport) -> tuple[TheoryComparison, ...]:
 class Family:
     """One family of maps over F_q, and everything a census needs from it.
 
-    Enumeration modes are "exactly" and "at_most" (degree d or <= d).
-    successors(ctx, d, mode, lo, hi) yields the successor tuple of each
-    map in slots [lo, hi) of index_count(ctx, d, mode) slots, skipping
-    slots outside the mode; map_count(ctx, d, mode) is the closed-form
-    number of maps those slots hold.  sample draws the maps of sampled and
-    rho runs; evaluate serves rho walks, which visit only a few points of
-    each map.
+    Every callable takes one exact degree d.  successors(ctx, d, lo, hi)
+    yields the successor tuple of each map of degree d in slots [lo, hi)
+    of index_count(ctx, d) slots, skipping slots that hold no such map;
+    map_count(ctx, d) is the closed-form number of maps those slots hold.
+    sample draws the maps of sampled and rho runs; evaluate serves rho
+    walks, which visit only a few points of each map.
     """
 
     name: str  # "poly" | "rational", as reports echo it
     points_at_infinity: int  # graphs have q + this many vertices
-    index_count: Callable[[FieldCtx, int, str], int]
-    map_count: Callable[[FieldCtx, int, str], int]
-    successors: Callable  # (ctx, d, mode, lo, hi) -> successor tuples
+    index_count: Callable[[FieldCtx, int], int]
+    map_count: Callable[[FieldCtx, int], int]
+    successors: Callable  # (ctx, d, lo, hi) -> successor tuples
     sample: Callable  # (ctx, d, rng) -> uniform map of degree exactly d
     evaluate: Callable  # (ctx, map, point) -> point
     comparisons: Callable[[CensusReport], tuple[TheoryComparison, ...]]
@@ -633,8 +631,8 @@ class Family:
 POLY = Family(
     name="poly",
     points_at_infinity=0,
-    index_count=_poly_count,
-    map_count=_poly_count,
+    index_count=poly_exactly_count,
+    map_count=poly_exactly_count,
     successors=_poly_successors,
     sample=_sample_poly,
     evaluate=eval_poly,
@@ -662,28 +660,28 @@ def _family(name: str) -> Family:
 # --- the census pipeline -----------------------------------------------------------
 
 
-def _census_block(
-    ctx: FieldCtx, family: Family, d: int, mode: str | None, seed: int | None, start: int, stop: int
-) -> Counter:
-    """Tally by cycle type the maps in slots [start, stop) of the mode's
-    enumeration, or, with a seed, the maps drawn from each index's own
+def _census_block(ctx: FieldCtx, family: Family, d: int, seed: int | None, start: int, stop: int) -> Counter:
+    """Tally by cycle type the maps of degree d in slots [start, stop) of
+    the enumeration, or, with a seed, the maps drawn from each index's own
     random stream."""
     if seed is None:
-        graphs = map(FunctionalGraph, family.successors(ctx, d, mode, start, stop))
+        graphs = map(FunctionalGraph, family.successors(ctx, d, start, stop))
     else:
         graphs = (build_graph(ctx, family.sample(ctx, d, per_index_rng(seed, i))) for i in range(start, stop))
     return Counter(map(cycle_census, graphs))
 
 
 def _exhaustive_tally(
-    ctx: FieldCtx, family: Family, d: int, mode: str, jobs: int, budget: int | None, what: str
+    ctx: FieldCtx, family: Family, degrees: range, jobs: int, budget: int | None, what: str
 ) -> Counter:
-    if d < 0:
+    """Tally by cycle type every map whose degree is in degrees: one run
+    with a task per degree."""
+    if not degrees or degrees[0] < 0:
         raise ValueError("degree must be >= 0")
-    count = family.map_count(ctx, d, mode)
-    _check_budget(count * family.vertices(ctx), budget, f"{family.name} {what} q={ctx.q} d={d}")
-    total = family.index_count(ctx, d, mode)
-    types = run_blocks(_census_block, (ctx, family, d, mode, None), total, jobs)
+    count = sum(family.map_count(ctx, d) for d in degrees)
+    _check_budget(count * family.vertices(ctx), budget, f"{family.name} {what} q={ctx.q} d={degrees[-1]}")
+    tasks = [((ctx, family, d, None), family.index_count(ctx, d)) for d in degrees]
+    types = run_blocks(_census_block, tasks, jobs)
     if types.total() != count:
         raise AssertionError(
             f"enumerated {types.total()} maps, closed form says {count}; this is a bug"
@@ -754,7 +752,7 @@ def _exhaustive_census(
     ctx: FieldCtx, family: Family, d: int, kmax: int | None, jobs: int, budget: int | None
 ) -> CensusReport:
     kmax = family.vertices(ctx) if kmax is None else kmax
-    types = _exhaustive_tally(ctx, family, d, "exactly", jobs, budget, "census")
+    types = _exhaustive_tally(ctx, family, range(d, d + 1), jobs, budget, "census")
     return _build_report(ctx, family, d, kmax, types, "exhaustive")
 
 
@@ -798,11 +796,11 @@ def sampled_census(
         raise ValueError("samples must be >= 1")
     kmax = fam.vertices(ctx) if kmax is None else kmax
     if full_support:
-        types = _exhaustive_tally(ctx, fam, d, "exactly", jobs, budget, "census")
+        types = _exhaustive_tally(ctx, fam, range(d, d + 1), jobs, budget, "census")
     else:
         what = f"sampled {fam.name} census of {samples} maps over q={ctx.q}"
         _check_budget(samples * fam.vertices(ctx), budget, what, "lower the sample count")
-        types = run_blocks(_census_block, (ctx, fam, d, None, seed), samples, jobs)
+        types = run_blocks(_census_block, [((ctx, fam, d, seed), samples)], jobs)
     return _build_report(ctx, fam, d, kmax, types, "sampled", seed=seed, full_support=full_support)
 
 
@@ -810,7 +808,7 @@ def _cycle_totals_at_most(
     ctx: FieldCtx, family: Family, d: int, kmax: int | None, jobs: int, budget: int | None
 ) -> tuple[dict[int, int], int]:
     kmax = family.vertices(ctx) if kmax is None else kmax
-    s = cycle_sums(_exhaustive_tally(ctx, family, d, "at_most", jobs, budget, "cycle totals"), kmax)
+    s = cycle_sums(_exhaustive_tally(ctx, family, range(d + 1), jobs, budget, "cycle totals"), kmax)
     return s.k_cycles, s.map_count
 
 
@@ -975,7 +973,7 @@ def rho_experiment(
     # a walk never visits more than the whole space, so budget on that
     what = f"rho experiment of {samples} walks over {fam.vertices(ctx)} points"
     _check_budget(samples * fam.vertices(ctx), budget, what, "lower the sample count")
-    walks = run_blocks(_rho_block, (ctx, fam, d, seed), samples, jobs)
+    walks = run_blocks(_rho_block, [((ctx, fam, d, seed), samples)], jobs)
     tail = sum(t * n for (t, _), n in walks.items())
     cyc = sum(c * n for (_, c), n in walks.items())
     hist: Counter = Counter()

@@ -118,6 +118,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="sampled mode: walk the whole space once instead of drawing",
     )
     _add_common_flags(cen, fmt=True)
+    cen.set_defaults(handler=_cmd_census)
 
     ver = subs.add_parser("verify", help="exact checks against closed forms")
     vsubs = ver.add_subparsers(dest="check", required=True)
@@ -126,26 +127,31 @@ def build_parser() -> argparse.ArgumentParser:
     _add_field_flags(vlp)
     vlp.add_argument("--dmax", type=_max_degree, required=True)
     _add_common_flags(vlp)
+    vlp.set_defaults(handler=_cmd_verify_lemma_polys)
 
     vrc_help = "rational map counts from the independent reference enumerator, in one process (ignores --jobs)"
     vrc = vsubs.add_parser("rat-count", help=vrc_help, description=vrc_help)
     _add_field_flags(vrc)
     vrc.add_argument("--dmax", type=_max_degree, required=True)
     _add_common_flags(vrc)
+    vrc.set_defaults(handler=_cmd_verify_rat_count)
 
     vpr = vsubs.add_parser("prov", help="interpolation-family counts vs case table")
     _add_field_flags(vpr)
     vpr.add_argument("--instances", type=_instance_count, default=200)
     vpr.add_argument("--seed", type=int, default=0)
     _add_common_flags(vpr)
+    vpr.set_defaults(handler=_cmd_verify_prov)
 
     vcb = vsubs.add_parser("cycle-bounds", help="rational k-cycle total sandwich")
     _add_field_flags(vcb)
     # the sandwich bounds start at d = 1
     vcb.add_argument("--dmax", type=_int_at_least(1, "maximum degree"), required=True)
     _add_common_flags(vcb)
+    vcb.set_defaults(handler=_cmd_verify_cycle_bounds)
 
     base = subs.add_parser("baseline", help="reference graph families")
+    base.set_defaults(handler=_cmd_baseline)
     bsubs = base.add_subparsers(dest="kind", required=True)
 
     brand = bsubs.add_parser("random", help="uniform random self-maps")
@@ -166,6 +172,7 @@ def build_parser() -> argparse.ArgumentParser:
     theo.add_argument("--d", type=int, required=True)
     theo.add_argument("--kmax", type=_cycle_length_cap, default=None)
     theo.add_argument("--output", type=str, default=None)
+    theo.set_defaults(handler=_cmd_theory)
 
     rho = subs.add_parser("rho", help="iteration tail+cycle experiment")
     _add_field_flags(rho)
@@ -179,6 +186,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="fail (exit 1) when the mean lies outside the diagnostic band",
     )
     _add_common_flags(rho)
+    rho.set_defaults(handler=_cmd_rho)
 
     return top
 
@@ -314,7 +322,7 @@ def _cmd_verify_prov(args, jobs: int):
     walked = sum(ctx.q ** (len(g0) + len(g1) - 2) for g0, g1, _, _ in instances)
     what = f"counting {args.instances} interpolation families over q={ctx.q}"
     _check_budget(walked, args.budget, what, "lower --instances")
-    checks = run_blocks(_prov_checks, (ctx, instances), len(instances), jobs)
+    checks = run_blocks(_prov_checks, [((ctx, instances), len(instances))], jobs)
     case_tally = {case: sum(c["case"] == case for c in checks) for case in ("exactly", "at_most_one")}
     echo = {"instances": args.instances, "seed": args.seed}
     return _verify_result(args, ctx.q, checks, echo, case_tally=case_tally)
@@ -363,7 +371,7 @@ def _cmd_baseline(args, jobs: int):
     return config, rep, bool(rep.failed)
 
 
-def _cmd_theory(args):
+def _cmd_theory(args, jobs: int):
     if args.d < 0:
         raise ValueError("degree must be >= 0")
     q, d = field_order(args.p, args.n), args.d
@@ -453,22 +461,7 @@ def run(argv: list[str] | None = None) -> int:
         return 0 if exc.code in (0, None) else 2
     jobs = usable_cpus() if getattr(args, "jobs", None) is None else args.jobs
     try:
-        if args.command == "census":
-            config, rep, has_fail = _cmd_census(args, jobs)
-        elif args.command == "verify":
-            handler = {
-                "lemma-polys": _cmd_verify_lemma_polys,
-                "rat-count": _cmd_verify_rat_count,
-                "prov": _cmd_verify_prov,
-                "cycle-bounds": _cmd_verify_cycle_bounds,
-            }[args.check]
-            config, rep, has_fail = handler(args, jobs)
-        elif args.command == "baseline":
-            config, rep, has_fail = _cmd_baseline(args, jobs)
-        elif args.command == "theory":
-            config, rep, has_fail = _cmd_theory(args)
-        else:
-            config, rep, has_fail = _cmd_rho(args, jobs)
+        config, rep, has_fail = args.handler(args, jobs)
     except (ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

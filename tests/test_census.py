@@ -1,6 +1,8 @@
 """Exhaustive and sampled censuses against frozen enumeration values,
 closed forms, and determinism requirements."""
 
+from collections import Counter
+from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 from functools import lru_cache
 
@@ -26,7 +28,7 @@ from fqdyn.census import (
     usable_cpus,
 )
 from fqdyn.ffield import make_field
-from fqdyn.fmaps import poly_mul
+from fqdyn.fmaps import enumerate_polys, enumerate_rationals, eval_poly, eval_rational, poly_exactly_count, poly_mul
 from fqdyn.seeding import per_index_rng
 from fqdyn.theory import (
     poly_avg_k,
@@ -36,7 +38,7 @@ from fqdyn.theory import (
     rat_k_cycle_total_bounds,
 )
 
-from oracles import count_cycle_givers
+from oracles import count_cycle_givers, oracle_cycle_lengths
 
 F2 = make_field(2)
 F3 = make_field(3)
@@ -145,6 +147,58 @@ class TestCycleTotals:
         totals, _ = rat_cycle_totals_at_most(F3, 1)
         b = rat_k_cycle_total_bounds(3, 1, 1)
         assert b.lower < totals[1] < b.upper  # 12 < 28 < 36
+
+    @pytest.mark.parametrize("family", ["poly", "rational"])
+    @pytest.mark.parametrize("p, n", [(2, 1), (3, 1), (2, 2), (5, 1)])
+    @pytest.mark.parametrize("d", [0, 1, 2])
+    def test_totals_match_a_horner_walk_of_every_map_up_to_d(self, family, p, n, d):
+        """The reference enumerates degree <= d in one walk, evaluates each
+        map at every point by Horner's rule and counts its cycles apart."""
+        ctx = make_field(p, n)
+        if family == "poly":
+            maps, evaluate, points = enumerate_polys(ctx, d, "at_most"), eval_poly, ctx.q
+            totals_at_most = poly_cycle_totals_at_most
+        else:
+            maps, evaluate, points = enumerate_rationals(ctx, d, "at_most"), eval_rational, ctx.q + 1
+            totals_at_most = rat_cycle_totals_at_most
+        want: Counter = Counter()
+        count = 0
+        for m in maps:
+            want.update(oracle_cycle_lengths([evaluate(ctx, m, x) for x in range(points)]))
+            count += 1
+        assert totals_at_most(ctx, d) == (dict(sorted(want.items())), count)
+
+    @pytest.mark.parametrize(
+        "totals, maps_of_degree, points",
+        [
+            (poly_cycle_totals_at_most, lambda e: poly_exactly_count(F3, e), 3),
+            (rat_cycle_totals_at_most, lambda e: rat_count(3, e, "exactly"), 4),
+        ],
+        ids=["poly", "rational"],
+    )
+    def test_budget_covers_every_degree(self, totals, maps_of_degree, points):
+        """One budget check on the maps of all degrees 0..d together."""
+        need = sum(maps_of_degree(e) for e in range(3)) * points
+        assert totals(F3, 2, budget=need)[1] * points == need
+        with pytest.raises(BudgetError, match="cycle totals") as err:
+            totals(F3, 2, budget=need - 1)
+        assert f"needs {need} map evaluations" in str(err.value)
+
+    @pytest.mark.parametrize("totals", [poly_cycle_totals_at_most, rat_cycle_totals_at_most])
+    def test_degrees_share_one_worker_pool(self, totals, monkeypatch):
+        """Each degree is a task of one run: one pool for all of them, and
+        the same totals as in one process."""
+        monkeypatch.setattr(census, "usable_cpus", lambda: 2)
+        pools = []
+
+        class CountedPool(ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                pools.append(kwargs)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(census, "ProcessPoolExecutor", CountedPool)
+        assert totals(F3, 2, jobs=2) == totals(F3, 2, jobs=1)
+        assert pools == [{"max_workers": 2}]
 
 
 class TestSampledCensus:

@@ -162,9 +162,9 @@ class TestVerifyCommands:
         monkeypatch.setattr(census, "usable_cpus", lambda: 2)
         calls = []
 
-        def spy(fn, args, total, jobs):
-            calls.append((fn.__name__, total, jobs))
-            return census.run_blocks(fn, args, total, jobs)
+        def spy(fn, tasks, jobs):
+            calls.append((fn.__name__, [total for _, total in tasks], jobs))
+            return census.run_blocks(fn, tasks, jobs)
 
         monkeypatch.setattr(cli, "run_blocks", spy)
         texts = []
@@ -173,7 +173,7 @@ class TestVerifyCommands:
             argv = ["verify", "prov", "--p", "3", "--instances", "9", "--jobs", jobs, "--output", str(out)]
             assert cli.run(argv) == 0
             texts.append(out.read_text(encoding="utf-8"))
-        assert calls == [("_prov_checks", 9, 1), ("_prov_checks", 9, 2)]
+        assert calls == [("_prov_checks", [9], 1), ("_prov_checks", [9], 2)]
         assert texts[0] == texts[1]
 
     def test_cycle_bounds(self):

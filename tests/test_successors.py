@@ -1,7 +1,8 @@
 """Exhaustive successor tables from running column sums, against Horner.
 
-The exhaustive census walks each block's slots as an odometer and reads
-every map's successors off value columns and addition-table rows.  The
+The exhaustive census walks the maps of one exact degree, each block's
+slots as an odometer, and reads every map's successors off value columns
+and addition-table rows.  The
 reference here decodes each slot on its own with the `fmaps` decoders,
 evaluates the map at every point by Horner's rule (`eval_poly`,
 `eval_rational`), scans it and adds its statistics map by map
@@ -40,7 +41,6 @@ from oracles import per_map_sums
 FAMILIES = {"poly": POLY, "rational": RATIONAL}
 # the acceptance gate's fields, then one extension field for p = 2 and one for p = 3
 FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2)]
-MODES = ("exactly", "at_most")
 WHOLE_SPACE_MAX = 4000  # slots per case walked whole; larger spaces get windows
 
 
@@ -49,71 +49,67 @@ def field(p: int, n: int = 1):
     return make_field(p, n)
 
 
-def horner_slot(ctx, family: str, d: int, mode: str, i: int):
-    """The map in slot i, decoded alone; None for a slot the census skips."""
+def horner_slot(ctx, family: str, d: int, i: int):
+    """The map of degree d in slot i, decoded alone; None for a slot the
+    census skips."""
     if family == "poly":
-        return poly_exactly_at(ctx, d, i) if mode == "exactly" else poly_at_most_at(ctx, d, i)
+        return poly_exactly_at(ctx, d, i)
     q = ctx.q
     num_count = q ** (d + 1)
     for e in range(d + 1):
         if i < q**e * num_count:
             den_idx, num_idx = divmod(i, num_count)
             den, num = monic_poly_at(ctx, e, den_idx), poly_at_most_at(ctx, d, num_idx)
-            if mode == "exactly" and max(len(num) - 1, e) != d:
+            if max(len(num) - 1, e) != d:
                 return None
             return RationalMap(num, den) if len(poly_gcd(ctx, num, den)) == 1 else None
         i -= q**e * num_count
-    return CONSTANT_INFINITY if mode == "at_most" or d == 0 else None
+    return CONSTANT_INFINITY if d == 0 else None
 
 
-def horner_tally(ctx, family: str, d: int, mode: str, lo: int, hi: int) -> CycleSums:
+def horner_tally(ctx, family: str, d: int, lo: int, hi: int) -> CycleSums:
     evaluate, size = (eval_poly, ctx.q) if family == "poly" else (eval_rational, ctx.q + 1)
     counts = []
     for i in range(lo, hi):
-        m = horner_slot(ctx, family, d, mode, i)
+        m = horner_slot(ctx, family, d, i)
         if m is not None:
             succ = tuple(evaluate(ctx, m, x) for x in range(size))
             counts.append(Counter(cycle_census(FunctionalGraph(succ))))
     return per_map_sums(counts, ctx.q + 1)
 
 
-def column_types(ctx, family: str, d: int, mode: str, lo: int, hi: int) -> Counter:
-    return _census_block(ctx, FAMILIES[family], d, mode, None, lo, hi)
+def column_types(ctx, family: str, d: int, lo: int, hi: int) -> Counter:
+    return _census_block(ctx, FAMILIES[family], d, None, lo, hi)
 
 
-def column_tally(ctx, family: str, d: int, mode: str, lo: int, hi: int) -> CycleSums:
-    return cycle_sums(column_types(ctx, family, d, mode, lo, hi), ctx.q + 1)
+def column_tally(ctx, family: str, d: int, lo: int, hi: int) -> CycleSums:
+    return cycle_sums(column_types(ctx, family, d, lo, hi), ctx.q + 1)
 
 
-def slots(ctx, family: str, d: int, mode: str) -> int:
-    return FAMILIES[family].index_count(ctx, d, mode)
+def slots(ctx, family: str, d: int) -> int:
+    return FAMILIES[family].index_count(ctx, d)
 
 
-CASES = [
-    (p, n, family, mode, d)
-    for p, n in FIELDS
-    for family in FAMILIES
-    for mode in MODES
-    for d in (0, 1, 2)
-]
+# every case walks the maps of one exact degree, and its id says so
+CASES = [(p, n, family, d) for p, n in FIELDS for family in FAMILIES for d in (0, 1, 2)]
 
 
-@pytest.mark.parametrize("p, n, family, mode, d", CASES)
-def test_columns_match_horner(p, n, family, mode, d):
+@pytest.mark.parametrize("p, n, family, d", CASES, ids=[f"{p}-{n}-{f}-exactly-{d}" for p, n, f, d in CASES])
+def test_columns_match_horner(p, n, family, d):
     """The whole slot space where it is small, else windows at its start,
     across its middle and at its end; and a block of the last slot alone."""
     ctx = field(p, n)
-    total = slots(ctx, family, d, mode)
+    total = slots(ctx, family, d)
     if total <= WHOLE_SPACE_MAX:
         windows = [(0, total)]
     else:
         width = 150
         windows = [(0, width), (total // 2 - width, total // 2 + width), (total - width, total)]
     for lo, hi in [*windows, (total - 1, total)]:
-        want = horner_tally(ctx, family, d, mode, lo, hi)
-        assert column_tally(ctx, family, d, mode, lo, hi) == want
+        want = horner_tally(ctx, family, d, lo, hi)
+        assert column_tally(ctx, family, d, lo, hi) == want
     # a rational space ends with the constant-infinity slot, a map of degree 0
-    assert want.map_count == (family == "poly" or mode == "at_most" or d == 0)
+    assert want.map_count == (family == "poly" or d == 0)
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
@@ -122,45 +118,44 @@ def test_block_splits_of_each_worker_count(p, n, family, d, jobs, monkeypatch):
     """The blocks run_blocks hands to workers tally to the whole."""
     monkeypatch.setattr(census, "usable_cpus", lambda: 2)
     ctx = field(p, n)
-    total = slots(ctx, family, d, "exactly")
+    total = slots(ctx, family, d)
     blocks = _split_blocks(total, jobs)
     assert len(blocks) == jobs
-    tallies = [column_types(ctx, family, d, "exactly", lo, hi) for lo, hi in blocks]
-    assert cycle_sums(sum(tallies, Counter()), ctx.q + 1) == horner_tally(ctx, family, d, "exactly", 0, total)
+    tallies = [column_types(ctx, family, d, lo, hi) for lo, hi in blocks]
+    assert cycle_sums(sum(tallies, Counter()), ctx.q + 1) == horner_tally(ctx, family, d, 0, total)
+
+
+WINDOWS_ABOVE_THE_CAP = [
+    ("poly", 1, 3 * 257 - 6, 3 * 257 + 6),  # a_1 carries
+    ("poly", 2, 257**2 - 4, 257**2 + 4),  # a_1 wraps and the lead digit moves
+    ("poly", 0, 250, 257),
+    ("rational", 1, 257**2 - 4, 257**2 + 4),  # from den 1 to den x
+    ("rational", 1, 2 * 257**2 - 4, 2 * 257**2 + 4),  # den x to den x + 1
+    ("rational", 0, 253, 258),  # the constant-infinity slot
+]
 
 
 @pytest.mark.parametrize(
-    "family, d, mode, lo, hi",
-    [
-        ("poly", 1, "exactly", 3 * 257 - 6, 3 * 257 + 6),  # a_1 carries
-        ("poly", 2, "at_most", 257**2 - 4, 257**2 + 4),  # a_1 and a_2 carry
-        ("poly", 0, "exactly", 250, 257),
-        ("rational", 1, "exactly", 257**2 - 4, 257**2 + 4),  # from den 1 to den x
-        ("rational", 1, "at_most", 2 * 257**2 - 4, 2 * 257**2 + 4),  # den x to den x + 1
-        ("rational", 1, "at_most", 258 * 257**2 - 4, 258 * 257**2 + 1),  # the constant-infinity slot
-    ],
+    "family, d, lo, hi", WINDOWS_ABOVE_THE_CAP, ids=[f"{f}-{d}-exactly-{lo}-{hi}" for f, d, lo, hi in WINDOWS_ABOVE_THE_CAP]
 )
-def test_rows_without_tables_above_the_cap(family, d, mode, lo, hi):
+def test_rows_without_tables_above_the_cap(family, d, lo, hi):
     """GF(257) has no q x q tables; each row comes from ctx.add and ctx.mul."""
     ctx = field(257)
     assert ctx.q > census.ROW_TABLE_MAX
-    want = horner_tally(ctx, family, d, mode, lo, hi)
+    want = horner_tally(ctx, family, d, lo, hi)
     assert want.map_count > 0
-    assert column_tally(ctx, family, d, mode, lo, hi) == want
+    assert column_tally(ctx, family, d, lo, hi) == want
 
 
 @settings(max_examples=60, deadline=None)
-@given(
-    case=st.sampled_from([(p, n, family, mode, d) for p, n, family, mode, d in CASES if d >= 1]),
-    data=st.data(),
-)
+@given(case=st.sampled_from([c for c in CASES if c[3] >= 1]), data=st.data())
 def test_any_block_matches_horner(case, data):
-    p, n, family, mode, d = case
+    p, n, family, d = case
     ctx = field(p, n)
-    total = slots(ctx, family, d, mode)
+    total = slots(ctx, family, d)
     lo = data.draw(st.integers(0, total - 1), label="lo")
     hi = data.draw(st.integers(lo, min(total, lo + 300)), label="hi")
-    assert column_tally(ctx, family, d, mode, lo, hi) == horner_tally(ctx, family, d, mode, lo, hi)
+    assert column_tally(ctx, family, d, lo, hi) == horner_tally(ctx, family, d, lo, hi)
 
 
 def shared_by_gcd(ctx, d: int, den, slots) -> set[int]:
