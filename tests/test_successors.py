@@ -2,14 +2,13 @@
 
 The exhaustive census walks the maps of one exact degree, each block's
 slots as an odometer, and reads every map's successors off value columns
-and addition-table rows.  The
-reference here decodes each slot on its own with the `fmaps` decoders,
-evaluates the map at every point by Horner's rule (`eval_poly`,
-`eval_rational`), scans it and adds its statistics map by map
-(`oracles.per_map_sums`); the census block's cycle-type tally must give
-the same sums over the same slots.  The census skips non-coprime pairs
-through a sieve built once per denominator; the sieve is checked here
-against `poly_gcd`.
+and addition-table rows.  The reference here decodes each slot on its
+own with the `fmaps` decoders, evaluates the map at every point by
+Horner's rule (`eval_poly`, `eval_rational`), scans it and adds its
+statistics map by map (`oracles.per_map_sums`); the census block's
+cycle-type tally must give the same sums over the same slots.  The
+census skips non-coprime pairs through a sieve built once per
+denominator; the sieve is checked here against `poly_gcd`.
 """
 
 from __future__ import annotations
