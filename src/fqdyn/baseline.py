@@ -12,6 +12,7 @@ and z-scores at sizes where enumeration is out of reach.
 
 from __future__ import annotations
 
+import struct
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -33,17 +34,36 @@ from .theory import (
 RANDOM_EXHAUSTIVE_MAX_N = 7
 QUADRATIC_EXHAUSTIVE_MAX_GRAPHS = 10**7
 RANDOM_EXACT_THEORY_MAX_N = 4000
+# a sampled self-map draws each value from one 32-bit Mersenne Twister word
+RANDOM_SAMPLED_MAX_N = 2**32 - 1
 
 
 def sample_random_map(n: int, seed: int) -> FunctionalGraph:
     """Uniform random self-map of [0, n); deterministic given seed."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    if not 1 <= n <= RANDOM_SAMPLED_MAX_N:
+        raise ValueError(f"n must lie in [1, {RANDOM_SAMPLED_MAX_N}]")
     return _random_map(n, per_index_rng(seed, 0))
 
 
 def _random_map(n: int, rng) -> FunctionalGraph:
-    return FunctionalGraph(tuple(rng.randrange(n) for _ in range(n)))
+    """The self-map [rng.randrange(n) for _ in range(n)], drawn in bulk.
+
+    In CPython, randrange(n) keeps the top k = n.bit_length() bits of one
+    32-bit Mersenne Twister word and draws again while they reach n, and
+    getrandbits(32 * m) packs the next m words with the first word lowest.
+    So each batch takes as many words as values are missing, decodes them
+    from its little-endian bytes with the "<I" format, whose size and byte
+    order are fixed on every host, and keeps the words whose top k bits lie
+    below n.  Words drawn past the last value are never read: rng is this
+    map's own stream.  Needs n < 2**32.
+    """
+    shift = 32 - n.bit_length()
+    limit = n << shift
+    values: list[int] = []
+    while missing := n - len(values):
+        words = struct.unpack(f"<{missing}I", rng.getrandbits(32 * missing).to_bytes(4 * missing, "little"))
+        values += [w >> shift for w in words if w < limit]
+    return FunctionalGraph(tuple(values))
 
 
 def _map_at(n: int, idx: int) -> FunctionalGraph:
@@ -231,6 +251,8 @@ def baseline_census(
             raise ValueError("random baseline needs n >= 1")
         if mode == "exhaustive":
             return exhaustive_random_stats(n, jobs=jobs, budget=budget)
+        if n > RANDOM_SAMPLED_MAX_N:
+            raise ValueError(f"sampled random baseline needs n <= {RANDOM_SAMPLED_MAX_N}")
         size, make, args, extra = n, _random_map, (n,), {}
     elif kind == "quadratic":
         if m is None or t is None or m < 1 or t < 1:

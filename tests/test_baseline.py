@@ -2,14 +2,19 @@
 sizes, structural invariants on every generated graph, sampler
 determinism and calibration."""
 
+import random
+import struct
 from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+from fqdyn import baseline
 from fqdyn.baseline import (
     RANDOM_EXHAUSTIVE_MAX_N,
+    RANDOM_SAMPLED_MAX_N,
     _quadratic_graph,
+    _random_map,
     baseline_census,
     enumerate_quadratic_graphs,
     exhaustive_random_stats,
@@ -91,6 +96,21 @@ class TestQuadraticEnumeration:
         ]
 
 
+class ScriptedWords(random.Random):
+    """Serves the given 32-bit words, then zeros, where the Mersenne Twister
+    would serve its own: getrandbits(k <= 32) keeps one word's top k bits,
+    getrandbits(32 * m) packs m words with the first word lowest."""
+
+    def __init__(self, words):
+        super().__init__(0)
+        self.words = iter(words)
+
+    def getrandbits(self, k):
+        m = max(1, k // 32)
+        assert k <= 32 or k == 32 * m
+        return sum(next(self.words, 0) << 32 * i for i in range(m)) >> (32 * m - k)
+
+
 class TestSamplers:
     def test_random_map_deterministic(self):
         assert sample_random_map(10, 42) == sample_random_map(10, 42)
@@ -104,6 +124,47 @@ class TestSamplers:
             counts.update(sample_random_map(10, s).succ)
         for v in range(10):
             assert abs(counts[v] - 1000) < 5 * 30
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 1000, 1024, 1025, 4096, 65537])
+    def test_bulk_draw_equals_randrange(self, n):
+        """The bulk draw gives randrange's values in randrange's order.
+
+        _random_map rebuilds CPython's randrange(n) from 32-bit getrandbits
+        words.  If an interpreter upgrade changes how random draws them,
+        this test fails, where the sampled reports would otherwise drift.
+        1025, 65537 and 1 reject about half their words, so they also check
+        the batches that redraw the missing values.
+        """
+        assert struct.calcsize("<I") == 4  # the word size the decode assumes
+        for seed in range(10):
+            rng = per_index_rng(seed, n)
+            want = tuple(rng.randrange(n) for _ in range(n))
+            assert _random_map(n, per_index_rng(seed, n)).succ == want
+
+    @pytest.mark.parametrize("n", [1, 3, 1025])
+    def test_bulk_draw_rejects_from_the_bound_up(self, n):
+        # words at and around n << (32 - k), the least one randrange rejects
+        limit = n << (32 - n.bit_length())
+        words = [limit, limit - 1, 2**32 - 1, limit + 1, 0, limit - 1, limit] * 3
+        rng = ScriptedWords(words)
+        want = tuple(rng.randrange(n) for _ in range(n))
+        assert _random_map(n, ScriptedWords(words)).succ == want
+        assert n - 1 in want
+
+    def test_sampled_random_refuses_n_past_32_bits(self, monkeypatch):
+        # the budget admits the run, so only the 32-bit bound refuses it,
+        # and it does so before any draw
+        def no_draw(*args):
+            raise AssertionError("drew a map")
+
+        monkeypatch.setattr(baseline, "_random_map", no_draw)
+        n = RANDOM_SAMPLED_MAX_N + 1
+        assert n == 2**32
+        with pytest.raises(ValueError, match=f"n <= {RANDOM_SAMPLED_MAX_N}") as exc:
+            baseline_census("random", n=n, mode="sampled", samples=2, budget=2 * n + 1)
+        assert not isinstance(exc.value, BudgetError)
+        with pytest.raises(ValueError, match=str(RANDOM_SAMPLED_MAX_N)):
+            sample_random_map(n, 0)
 
     def test_quadratic_sample_valid(self):
         g = _quadratic_graph(2, 5, per_index_rng(7, 0))

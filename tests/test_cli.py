@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from fqdyn import census, cli
+from fqdyn import baseline, census, cli
 from fqdyn.census import RhoSummary
 
 
@@ -192,6 +192,15 @@ class TestBaselineCommands:
         # over 10 evaluations
         code = cli.run(["baseline", "random", *argv, "--budget", "10", "--jobs", "1"])
         assert code == 2 and "over the budget of 10" in capsys.readouterr().err
+
+    def test_sampled_size_past_32_bits_exit(self, capsys, monkeypatch):
+        # a budget past n * samples, so the size bound refuses the run
+        # before any draw
+        monkeypatch.setattr(baseline, "_random_map", None)
+        n = 2**32
+        code = cli.run(["baseline", "random", "--size", str(n), "--samples", "2", "--budget", str(2 * n + 1), "--jobs", "1"])
+        err = capsys.readouterr().err
+        assert code == 2 and "needs n <= 4294967295" in err and "budget" not in err
 
     def test_random_exhaustive(self):
         code, out, err = run_cli("baseline", "random", "--size", "4")
