@@ -14,15 +14,14 @@ from __future__ import annotations
 
 import struct
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import combinations
 from typing import Callable, Iterator
 
-from .census import BudgetError, TheoryComparison, _check_budget, compare, cycle_sums, mean_stderr, run_blocks
+from .census import BudgetError, Report, _check_budget, _report_fields, compare, cycle_sums, run_blocks
 from .ffield import digits
 from .fgraph import FunctionalGraph, cycle_census
-from .reportio import frac_json
 from .seeding import per_index_rng
 from .theory import (
     quad_graph_stats,
@@ -122,47 +121,23 @@ def _quadratic_graph(m: int, t: int, rng) -> FunctionalGraph:
     return FunctionalGraph(tuple(image[lab] for lab in labels))
 
 
-@dataclass(frozen=True)
-class BaselineReport:
+@dataclass(frozen=True, kw_only=True)
+class BaselineReport(Report):
     kind: str  # "random" | "quadratic"
-    mode: str  # "exhaustive" | "sampled"
     size: int
     graph_count: int
-    avg_components: Fraction
-    avg_periodic: Fraction
     m: int | None = None
     t: int | None = None
-    theory_comparison: tuple[TheoryComparison, ...] = ()
-    sample_count: int | None = None
-    seed: int | None = None
-    stderr_components: float | None = None
-    stderr_periodic: float | None = None
-    notes: dict = field(default_factory=dict)
-
-    @property
-    def failed(self) -> list[TheoryComparison]:
-        return [c for c in self.theory_comparison if c.status == "fail"]
 
     def to_jsonable(self) -> dict:
-        out: dict = {
+        out = super().to_jsonable() | {
             "family": f"baseline:{self.kind}",
-            "mode": self.mode,
             "size": self.size,
             "graph_count": self.graph_count,
-            "avg_components": frac_json(self.avg_components),
-            "avg_periodic": frac_json(self.avg_periodic),
-            "theory_comparison": [c.to_jsonable() for c in self.theory_comparison],
         }
         if self.kind == "quadratic":
             out["m"] = self.m
             out["t"] = self.t
-        if self.mode == "sampled":
-            out["sample_count"] = self.sample_count
-            out["seed"] = self.seed
-            out["stderr_components"] = self.stderr_components
-            out["stderr_periodic"] = self.stderr_periodic
-        if self.notes:
-            out["notes"] = self.notes
         return out
 
 
@@ -172,57 +147,6 @@ def _graph_block(make: Callable, args: tuple, seed: int | None, start: int, stop
     random stream."""
     graphs = (make(*args, i if seed is None else per_index_rng(seed, i)) for i in range(start, stop))
     return Counter(map(cycle_census, graphs))
-
-
-def _baseline_report(kind: str, mode: str, size: int, types: Counter, checks, **extra) -> BaselineReport:
-    """Averages from the cycle-type tally, and one equality row per (name,
-    stat, expected) check; stat names the average checked, None the graph
-    count."""
-    s = cycle_sums(types, 0)
-    n = s.map_count
-    avg = {"components": Fraction(s.components, n), "periodic": Fraction(s.periodic, n), None: Fraction(n)}
-    se = {
-        "components": mean_stderr(s.components, s.components_sq, n),
-        "periodic": mean_stderr(s.periodic, s.periodic_sq, n),
-    }
-    drawn = n if mode == "sampled" else None
-    return BaselineReport(
-        kind=kind,
-        mode=mode,
-        size=size,
-        graph_count=n,
-        avg_components=avg["components"],
-        avg_periodic=avg["periodic"],
-        theory_comparison=tuple(
-            compare(name, avg[stat], "==", expected=want, drawn=drawn, stderr=se.get(stat), stat=stat)
-            for name, stat, want in checks
-        ),
-        sample_count=n,
-        stderr_components=se["components"],
-        stderr_periodic=se["periodic"],
-        **extra,
-    )
-
-
-def exhaustive_random_stats(n: int, jobs: int = 1, budget: int | None = None) -> BaselineReport:
-    """Exact averages over all n^n self-maps; must equal the closed-form
-    sums exactly."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if n > RANDOM_EXHAUSTIVE_MAX_N:
-        raise BudgetError(
-            f"n = {n} exceeds the exhaustive cap {RANDOM_EXHAUSTIVE_MAX_N} "
-            f"({n}^{n} maps); use sampling instead"
-        )
-    _check_budget(n**n * n, budget, f"exhaustive random baseline of {n}^{n} maps", "use sampling instead")
-    types = run_blocks(_graph_block, [((_map_at, (n,), None), n**n)], jobs)
-    th = random_map_stats(n)
-    checks = (
-        ("random_components_exact", "components", th.components_exact),
-        ("random_periodic_exact", "periodic", th.periodic_exact),
-    )
-    asymptotics = {"components": th.components_asymptotic, "periodic": th.periodic_asymptotic}
-    return _baseline_report("random", "exhaustive", n, types, checks, notes={"asymptotics": asymptotics})
 
 
 def baseline_census(
@@ -243,45 +167,77 @@ def baseline_census(
     mode checks exact equality with the closed forms; sampled mode
     attaches five-sigma z-score checks instead.  Either way the graphs
     times their vertices must fit the budget.
+
+    Each check is (name, stat, expected): stat names the average checked,
+    None the graph count.  An exhaustive quadratic run walks
+    enumerate_quadratic_graphs in one process, as its image sets are not
+    indexed; every other run is one task of graphs make(*args, i).
     """
-    if mode != "exhaustive" and samples < 1:
+    if mode not in ("exhaustive", "sampled"):
+        raise ValueError(f"unknown baseline mode {mode!r}")
+    sampled = mode == "sampled"
+    if sampled and samples < 1:
         raise ValueError("sampled mode needs samples >= 1")
+    notes: dict = {}
     if kind == "random":
         if n is None or n < 1:
             raise ValueError("random baseline needs n >= 1")
-        if mode == "exhaustive":
-            return exhaustive_random_stats(n, jobs=jobs, budget=budget)
-        if n > RANDOM_SAMPLED_MAX_N:
+        size, extra, make, args = n, {}, _random_map if sampled else _map_at, (n,)
+        if sampled and n > RANDOM_SAMPLED_MAX_N:
             raise ValueError(f"sampled random baseline needs n <= {RANDOM_SAMPLED_MAX_N}")
-        size, make, args, extra = n, _random_map, (n,), {}
+        if sampled and n > RANDOM_EXACT_THEORY_MAX_N:
+            # the exact sums involve integers with about n log10(n) digits, so
+            # past a few thousand points compare against the asymptotics
+            checks = (
+                ("components_z_asymptotic", "components", Fraction(random_components_asymptotic(n))),
+                ("periodic_z_asymptotic", "periodic", Fraction(random_periodic_asymptotic(n))),
+            )
+        elif sampled:
+            th = random_map_stats(n)
+            checks = (("components_z", "components", th.components_exact), ("periodic_z", "periodic", th.periodic_exact))
+        else:
+            if n > RANDOM_EXHAUSTIVE_MAX_N:
+                raise BudgetError(
+                    f"n = {n} exceeds the exhaustive cap {RANDOM_EXHAUSTIVE_MAX_N} "
+                    f"({n}^{n} maps); use sampling instead"
+                )
+            th = random_map_stats(n)
+            checks = (
+                ("random_components_exact", "components", th.components_exact),
+                ("random_periodic_exact", "periodic", th.periodic_exact),
+            )
+            notes["asymptotics"] = {"components": th.components_asymptotic, "periodic": th.periodic_asymptotic}
+            count, what = n**n, f"exhaustive random baseline of {n}^{n} maps"
     elif kind == "quadratic":
         if m is None or t is None or m < 1 or t < 1:
             raise ValueError("quadratic baseline needs m >= 1 and t >= 1")
         th_q = quad_graph_stats(m, t)
-        size, make, args, extra = m * t, _quadratic_graph, (m, t), {"m": m, "t": t}
-        if mode == "exhaustive":
-            what = f"exhaustive quadratic baseline of {th_q.graph_count} graphs"
-            _check_budget(th_q.graph_count * size, budget, what, "use sampling instead")
-            types = Counter(map(cycle_census, enumerate_quadratic_graphs(m, t)))
+        size, extra, make, args = m * t, {"m": m, "t": t}, _quadratic_graph if sampled else None, (m, t)
+        if sampled:
+            checks = (("periodic_z", "periodic", th_q.avg_periodic),)
+        else:
             checks = (
                 ("quadratic_graph_count", None, Fraction(th_q.graph_count)),
                 ("quadratic_periodic_exact", "periodic", th_q.avg_periodic),
             )
-            return _baseline_report("quadratic", "exhaustive", size, types, checks, **extra)
+            count, what = th_q.graph_count, f"exhaustive quadratic baseline of {th_q.graph_count} graphs"
     else:
         raise ValueError(f"unknown baseline kind {kind!r}")
-    _check_budget(samples * size, budget, f"sampled {kind} baseline of {samples} graphs", "lower the sample count")
-    if kind == "quadratic":
-        checks = (("periodic_z", "periodic", th_q.avg_periodic),)
-    elif n <= RANDOM_EXACT_THEORY_MAX_N:
-        th = random_map_stats(n)
-        checks = (("components_z", "components", th.components_exact), ("periodic_z", "periodic", th.periodic_exact))
+    if sampled:
+        count, what = samples, f"sampled {kind} baseline of {samples} graphs"
+    _check_budget(count * size, budget, what, "lower the sample count" if sampled else "use sampling instead")
+    if make is None:
+        types = Counter(map(cycle_census, enumerate_quadratic_graphs(m, t)))
     else:
-        # the exact sums involve integers with about n log10(n) digits, so
-        # past a few thousand points compare against the asymptotics
-        checks = (
-            ("components_z_asymptotic", "components", Fraction(random_components_asymptotic(n))),
-            ("periodic_z_asymptotic", "periodic", Fraction(random_periodic_asymptotic(n))),
-        )
-    types = run_blocks(_graph_block, [((make, args, seed), samples)], jobs)
-    return _baseline_report(kind, "sampled", size, types, checks, seed=seed, **extra)
+        types = run_blocks(_graph_block, [((make, args, seed if sampled else None), count)], jobs)
+    s = cycle_sums(types, 0)
+    rep = BaselineReport(
+        kind=kind, size=size, graph_count=s.map_count, notes=notes, **extra, **_report_fields(s, mode, seed)
+    )
+    avg = {"components": rep.avg_components, "periodic": rep.avg_periodic, None: Fraction(rep.graph_count)}
+    se = {"components": rep.stderr_components, "periodic": rep.stderr_periodic}
+    rows = tuple(
+        compare(name, avg[stat], "==", expected=want, drawn=rep.sample_count, stderr=se.get(stat), stat=stat)
+        for name, stat, want in checks
+    )
+    return replace(rep, theory_comparison=rows)

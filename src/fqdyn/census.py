@@ -75,12 +75,18 @@ class BudgetError(ValueError):
 
 
 def resolve_budget(budget: int | None) -> int:
-    if budget is not None:
-        return budget
-    env = os.environ.get(BUDGET_ENV_VAR)
-    if env is not None:
-        return int(env)
-    return DEFAULT_BUDGET
+    """budget if given, else the FQDYN_BUDGET environment variable, else
+    DEFAULT_BUDGET; anything but an integer >= 0 is refused, naming its source."""
+    source, value = "evaluation budget", budget
+    if budget is None:
+        source, value = BUDGET_ENV_VAR, os.environ.get(BUDGET_ENV_VAR, DEFAULT_BUDGET)
+    try:
+        limit = int(value)
+    except ValueError:
+        limit = -1
+    if limit < 0:
+        raise ValueError(f"{source} must be an integer >= 0, got {value!r}")
+    return limit
 
 
 def _check_budget(
@@ -475,24 +481,20 @@ def compare(
     )
 
 
-@dataclass(frozen=True)
-class CensusReport:
-    family: str  # "poly" | "rational"
-    q: int
-    d: int
+@dataclass(frozen=True, kw_only=True)
+class Report:
+    """What every census and baseline report holds: the paper's two
+    averages, their theory rows and notes, and, for a sampled run, the
+    sample echo (size, seed and the averages' standard errors)."""
+
     mode: str  # "exhaustive" | "sampled"
-    map_count: int
-    kmax: int
     avg_components: Fraction
     avg_periodic: Fraction
-    avg_k_cycles: dict[int, Fraction]
     theory_comparison: tuple[TheoryComparison, ...] = ()
     sample_count: int | None = None
     seed: int | None = None
-    full_support: bool = False
     stderr_components: float | None = None
     stderr_periodic: float | None = None
-    stderr_k_cycles: dict[int, float] | None = None
     notes: dict = field(default_factory=dict)
 
     @property
@@ -501,28 +503,57 @@ class CensusReport:
 
     def to_jsonable(self) -> dict:
         out: dict = {
-            "family": self.family,
-            "q": self.q,
-            "d": self.d,
             "mode": self.mode,
-            "map_count": self.map_count,
-            "kmax": self.kmax,
             "avg_components": frac_json(self.avg_components),
             "avg_periodic": frac_json(self.avg_periodic),
-            "avg_k_cycles": {str(k): frac_json(v) for k, v in sorted(self.avg_k_cycles.items())},
             "theory_comparison": [c.to_jsonable() for c in self.theory_comparison],
         }
         if self.mode == "sampled":
             out["sample_count"] = self.sample_count
             out["seed"] = self.seed
-            out["full_support"] = self.full_support
             out["stderr_components"] = self.stderr_components
             out["stderr_periodic"] = self.stderr_periodic
-            out["stderr_k_cycles"] = {
-                str(k): v for k, v in sorted((self.stderr_k_cycles or {}).items())
-            }
         if self.notes:
             out["notes"] = self.notes
+        return out
+
+
+def _report_fields(s: CycleSums, mode: str, seed: int | None) -> dict:
+    """The Report fields that a tally's sums give: both averages and, in
+    sampled mode, the sample echo."""
+    n = s.map_count
+    out: dict = {"mode": mode, "avg_components": Fraction(s.components, n), "avg_periodic": Fraction(s.periodic, n)}
+    if mode == "sampled":
+        out["sample_count"] = n
+        out["seed"] = seed
+        out["stderr_components"] = mean_stderr(s.components, s.components_sq, n)
+        out["stderr_periodic"] = mean_stderr(s.periodic, s.periodic_sq, n)
+    return out
+
+
+@dataclass(frozen=True, kw_only=True)
+class CensusReport(Report):
+    family: str  # "poly" | "rational"
+    q: int
+    d: int
+    map_count: int
+    kmax: int
+    avg_k_cycles: dict[int, Fraction]
+    full_support: bool = False
+    stderr_k_cycles: dict[int, float] | None = None
+
+    def to_jsonable(self) -> dict:
+        out = super().to_jsonable() | {
+            "family": self.family,
+            "q": self.q,
+            "d": self.d,
+            "map_count": self.map_count,
+            "kmax": self.kmax,
+            "avg_k_cycles": {str(k): frac_json(v) for k, v in sorted(self.avg_k_cycles.items())},
+        }
+        if self.mode == "sampled":
+            out["full_support"] = self.full_support
+            out["stderr_k_cycles"] = {str(k): v for k, v in sorted((self.stderr_k_cycles or {}).items())}
         return out
 
 
@@ -715,32 +746,22 @@ def _build_report(
 ) -> CensusReport:
     s = cycle_sums(types, kmax)
     n = s.map_count
-    notes: dict = {}
-    if d == 0:
-        notes["d0_convention"] = _D0_NOTE
-    kwargs: dict = {}
+    notes: dict = {"d0_convention": _D0_NOTE} if d == 0 else {}
+    stderr_k_cycles = None
     if mode == "sampled":
         notes["sampling"] = _SAMPLING_NOTE
-        kwargs = {
-            "sample_count": n,
-            "seed": seed,
-            "full_support": full_support,
-            "stderr_components": mean_stderr(s.components, s.components_sq, n),
-            "stderr_periodic": mean_stderr(s.periodic, s.periodic_sq, n),
-            "stderr_k_cycles": {k: mean_stderr(c, s.k_cycles_sq[k], n) for k, c in s.k_cycles.items()},
-        }
+        stderr_k_cycles = {k: mean_stderr(c, s.k_cycles_sq[k], n) for k, c in s.k_cycles.items()}
     rep = CensusReport(
         family=family.name,
         q=ctx.q,
         d=d,
-        mode=mode,
         map_count=n,
         kmax=kmax,
-        avg_components=Fraction(s.components, n),
-        avg_periodic=Fraction(s.periodic, n),
         avg_k_cycles={k: Fraction(c, n) for k, c in s.k_cycles.items()},
+        full_support=full_support,
+        stderr_k_cycles=stderr_k_cycles,
         notes=notes,
-        **kwargs,
+        **_report_fields(s, mode, seed),
     )
     return replace(rep, theory_comparison=family.comparisons(rep))
 

@@ -86,6 +86,7 @@ _worker_count = _int_at_least(1, "worker count")
 _cycle_length_cap = _int_at_least(0, "cycle length cap")
 _max_degree = _int_at_least(0, "maximum degree")
 _instance_count = _int_at_least(1, "instance count")
+_evaluation_budget = _int_at_least(0, "evaluation budget")
 
 
 def _add_field_flags(p: argparse.ArgumentParser) -> None:
@@ -96,7 +97,7 @@ def _add_field_flags(p: argparse.ArgumentParser) -> None:
 def _add_common_flags(p: argparse.ArgumentParser, fmt: bool = False) -> None:
     p.add_argument("--jobs", type=_worker_count, default=None, help="worker count >= 1 (default and cap: usable CPUs)")
     p.add_argument("--output", type=str, default=None, help="write report to file instead of stdout")
-    p.add_argument("--budget", type=int, default=None, help="evaluation budget override")
+    p.add_argument("--budget", type=_evaluation_budget, default=None, help="evaluation budget override")
     if fmt:
         p.add_argument("--format", choices=("json", "csv"), default="json")
 
@@ -376,35 +377,26 @@ def _cmd_theory(args, jobs: int):
         raise ValueError("degree must be >= 0")
     q, d = field_order(args.p, args.n), args.d
     kmax = args.kmax if args.kmax is not None else d + 1
-    poly: dict = {"cycle_totals_at_most": {}, "avg_k": {}}
-    for k in range(1, kmax + 1):
-        try:
-            poly["cycle_totals_at_most"][str(k)] = poly_cycle_sum(q, d, k)
-        except ValueError:
-            pass
-        try:
-            poly["avg_k"][str(k)] = frac_json(poly_avg_k(q, d, k))
-        except ValueError:
-            pass
-    poly["component_bounds"] = poly_component_bounds(q, d).to_jsonable()
-    poly["periodic_lower"] = frac_json(poly_periodic_lower(q, d))
-    poly["periodic_minorant"] = poly_periodic_minorant(q, d)
-    rat: dict = {
+    # no per-k closed form holds past k = d + 1, so a larger kmax adds no
+    # row and no k past it is tried; poly_avg_k stops at d (at 1 when d = 0)
+    ks = range(1, min(kmax, d + 1) + 1)
+    poly = {
+        "cycle_totals_at_most": {str(k): poly_cycle_sum(q, d, k) for k in ks},
+        "avg_k": {str(k): frac_json(poly_avg_k(q, d, k)) for k in ks if k <= max(d, 1)},
+        "component_bounds": poly_component_bounds(q, d).to_jsonable(),
+        "periodic_lower": frac_json(poly_periodic_lower(q, d)),
+        "periodic_minorant": poly_periodic_minorant(q, d),
+    }
+    rat = {
         "count_at_most": rat_count(q, d, "at_most"),
         "count_exactly": rat_count(q, d, "exactly"),
         "coprime_prob": frac_json(coprime_prob(q, d)),
-        "k_total_bounds": {},
-        "avg_k_bounds": {},
+        "k_total_bounds": {str(k): rat_k_cycle_total_bounds(q, d, k).to_jsonable() for k in ks},
+        "avg_k_bounds": {str(k): rat_avg_k_bounds(q, d, k).to_jsonable() for k in ks},
+        "component_bounds": rat_component_bounds(q, d).to_jsonable(),
+        "periodic_lower": frac_json(rat_periodic_lower(q, d)),
+        "periodic_minorant": rat_periodic_minorant(q, d),
     }
-    for k in range(1, kmax + 1):
-        try:
-            rat["k_total_bounds"][str(k)] = rat_k_cycle_total_bounds(q, d, k).to_jsonable()
-            rat["avg_k_bounds"][str(k)] = rat_avg_k_bounds(q, d, k).to_jsonable()
-        except ValueError:
-            pass
-    rat["component_bounds"] = rat_component_bounds(q, d).to_jsonable()
-    rat["periodic_lower"] = frac_json(rat_periodic_lower(q, d))
-    rat["periodic_minorant"] = rat_periodic_minorant(q, d)
     config = {"command": "theory", "p": args.p, "n": args.n, "q": q, "d": d, "kmax": kmax}
     return config, {"poly": poly, "rational": rat}, False
 

@@ -18,7 +18,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb
 
-from fqdyn.baseline import baseline_census, enumerate_quadratic_graphs, exhaustive_random_stats
+from fqdyn.baseline import baseline_census, enumerate_quadratic_graphs
 from fqdyn.census import (
     enumerate_S,
     poly_census,
@@ -221,7 +221,7 @@ def test_criterion_09_quadratic_graph_averages():
 
 
 def test_criterion_10_random_baseline():
-    rep = exhaustive_random_stats(4)
+    rep = baseline_census("random", n=4)
     th = random_map_stats(4)
     assert rep.avg_components == Fraction(195, 128) == th.components_exact
     assert rep.avg_periodic == th.periodic_exact

@@ -17,7 +17,6 @@ from fqdyn.baseline import (
     _random_map,
     baseline_census,
     enumerate_quadratic_graphs,
-    exhaustive_random_stats,
     sample_random_map,
 )
 from fqdyn.census import BudgetError
@@ -28,7 +27,7 @@ from fqdyn.theory import quad_graph_stats, random_map_stats
 
 class TestRandomExhaustive:
     def test_n2(self):
-        rep = exhaustive_random_stats(2)
+        rep = baseline_census("random", n=2)
         assert rep.graph_count == 4
         assert rep.avg_components == Fraction(5, 4)
         assert rep.avg_periodic == Fraction(3, 2)
@@ -36,24 +35,24 @@ class TestRandomExhaustive:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_matches_theory_exactly(self, n):
-        rep = exhaustive_random_stats(n)
+        rep = baseline_census("random", n=n)
         th = random_map_stats(n)
         assert rep.avg_components == th.components_exact
         assert rep.avg_periodic == th.periodic_exact
         assert all(c.status == "pass" for c in rep.theory_comparison)
 
     def test_n4_frozen(self):
-        rep = exhaustive_random_stats(4)
+        rep = baseline_census("random", n=4)
         assert rep.avg_components == Fraction(195, 128)
         assert rep.avg_periodic == Fraction(71, 32)
 
     def test_cap(self):
         with pytest.raises(BudgetError, match="sampling"):
-            exhaustive_random_stats(RANDOM_EXHAUSTIVE_MAX_N + 1)
+            baseline_census("random", n=RANDOM_EXHAUSTIVE_MAX_N + 1)
 
     def test_jobs_independent(self):
-        a = exhaustive_random_stats(4, jobs=1)
-        b = exhaustive_random_stats(4, jobs=3)
+        a = baseline_census("random", n=4, jobs=1)
+        b = baseline_census("random", n=4, jobs=3)
         assert a.to_jsonable() == b.to_jsonable()
 
 
@@ -252,6 +251,9 @@ class TestBaselineCensus:
             baseline_census("nonsense", n=3)
         with pytest.raises(ValueError):
             baseline_census("random", n=5, mode="sampled", samples=0)
+        # any mode but "exhaustive" used to run as sampled
+        with pytest.raises(ValueError, match="unknown baseline mode 'sample'"):
+            baseline_census("random", n=5, mode="sample", samples=3)
 
     def test_jsonable(self):
         doc = baseline_census("quadratic", m=2, t=2).to_jsonable()

@@ -265,6 +265,16 @@ class TestTheoryCommand:
         assert capsys.readouterr().err == "error: degree must be >= 0\n"
 
 
+    @pytest.mark.parametrize("p, d", [(7, 2), (5, 0), (2, 1)])
+    def test_kmax_past_d_plus_1_adds_nothing(self, p, d, capsys):
+        # every k up to --kmax used to be tried and refused one by one:
+        # --p 2 --d 1 --kmax 2000000 took seconds; no closed form holds past d + 1
+        assert cli.run(["theory", "--p", str(p), "--d", str(d), "--kmax", str(10**9)]) == 0
+        big = json.loads(capsys.readouterr().out)
+        assert cli.run(["theory", "--p", str(p), "--d", str(d), "--kmax", str(d + 1)]) == 0
+        assert big["report"] == json.loads(capsys.readouterr().out)["report"]
+        assert big["config"]["kmax"] == 10**9
+
     def test_extension_field_past_the_table_cap(self, monkeypatch, capsys):
         # every closed form needs q alone; this used to build GF(2^17)'s
         # tables and exit 2 with "extension fields require tables"
@@ -367,6 +377,33 @@ class TestUsageErrors:
         # each used to exit 0 with "checks": [] and "all_pass": true
         assert cli.run(["verify", *argv, "--p", "3"]) == 2
         assert f"argument {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["abc", "-1", "2.5", ""])
+    @pytest.mark.parametrize(
+        "argv",
+        [["census", "--p", "3", "--d", "1"], ["baseline", "random", "--size", "3"], ["rho", "--p", "5", "--d", "1"]],
+    )
+    def test_bad_env_budget_rejected(self, argv, value, monkeypatch, capsys):
+        # FQDYN_BUDGET=abc used to exit 2 with "invalid literal for int() with
+        # base 10: 'abc'", naming no variable; FQDYN_BUDGET=-1 refused every run
+        monkeypatch.setenv("FQDYN_BUDGET", value)
+        assert cli.run([*argv, "--jobs", "1"]) == 2
+        assert capsys.readouterr().err == f"error: FQDYN_BUDGET must be an integer >= 0, got {value!r}\n"
+
+    def test_budget_flag_wins_over_bad_env(self, monkeypatch, capsys):
+        monkeypatch.setenv("FQDYN_BUDGET", "abc")
+        assert cli.run(["census", "--p", "3", "--d", "1", "--budget", "100", "--jobs", "1"]) == 0
+        assert json.loads(capsys.readouterr().out)["config"]["budget"] == 100
+
+    @pytest.mark.parametrize("argv", [["census", "--p", "3", "--d", "1"], ["verify", "rat-count", "--p", "2", "--dmax", "1"]])
+    def test_negative_budget_flag_rejected(self, argv, capsys):
+        # --budget -3 used to be accepted, and every run refused "over the budget of -3"
+        assert cli.run([*argv, "--budget", "-1", "--jobs", "1"]) == 2
+        assert "argument --budget: evaluation budget must be >= 0, got -1" in capsys.readouterr().err
+
+    def test_negative_budget_argument_rejected(self):
+        with pytest.raises(ValueError, match="evaluation budget must be an integer >= 0, got -3"):
+            census.resolve_budget(-3)
 
     def test_kmax_zero_accepted(self, capsys):
         assert cli.run(["census", "--p", "3", "--d", "2", "--kmax", "0", "--jobs", "1"]) == 0
