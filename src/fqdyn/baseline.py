@@ -229,7 +229,7 @@ def baseline_census(
     if make is None:
         types = Counter(map(cycle_census, enumerate_quadratic_graphs(m, t)))
     else:
-        types = run_blocks(_graph_block, [((make, args, seed if sampled else None), count)], jobs)
+        [types] = run_blocks(_graph_block, [((make, args, seed if sampled else None), count)], jobs)
     s = cycle_sums(types, 0)
     rep = BaselineReport(
         kind=kind, size=size, graph_count=s.map_count, notes=notes, **extra, **_report_fields(s, mode, seed)

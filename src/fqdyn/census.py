@@ -3,17 +3,18 @@ closed-form values attached as pass/fail comparisons.
 
 Every run, census, baseline or rho, is one pipeline: a run is a list of
 tasks, each an index range split into contiguous blocks; each block
-turns its indices into maps and counts them in a Counter, and the
-blocks' Counters merge by plain addition.  Addition is associative and
-commutative, so every worker count and schedule yields byte-identical
-reports.  Census and baseline blocks count maps by cycle type, the
-sorted tuple of cycle lengths (fgraph.cycle_census); a report derives
-every sum it reads once per type (cycle_sums), and kmax applies only
-there.
+turns its indices into maps and counts them in a Counter, and each
+task's blocks merge by plain addition into one result per task.
+Addition is associative and commutative, so every worker count and
+schedule yields byte-identical reports.  Census and baseline blocks
+count maps by cycle type, the sorted tuple of cycle lengths
+(fgraph.cycle_census); a report derives every sum it reads once per type
+(cycle_sums), and kmax applies only there.
 
 The exhaustive census walks the maps of one exact degree.  Totals over
-degree <= d, the disjoint union of degrees 0..d, are one run with a
-task per degree.
+degree <= d for every d <= dmax are one run with a task per degree:
+each degree is tallied once, and the totals are running sums of the
+per-degree tallies.
 
 No census evaluates a map point by point.  An exhaustive block decodes
 its first slot once and walks the rest as an odometer, building each
@@ -42,6 +43,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import reduce
+from itertools import islice
 from typing import Callable, Iterator, Sequence
 
 from .ffield import FieldCtx, FqElem, undigits
@@ -158,31 +160,27 @@ def usable_cpus() -> int:
 
 def _split_blocks(total: int, jobs: int) -> list[tuple[int, int]]:
     jobs = max(1, min(jobs, total, usable_cpus())) if total else 1
-    step = total // jobs
-    extra = total % jobs
-    blocks = []
-    lo = 0
-    for j in range(jobs):
-        hi = lo + step + (1 if j < extra else 0)
-        blocks.append((lo, hi))
-        lo = hi
-    return blocks
+    return [(total * j // jobs, total * (j + 1) // jobs) for j in range(jobs)]
 
 
-def run_blocks(fn: Callable, tasks: Sequence[tuple[tuple, int]], jobs: int):
+def run_blocks(fn: Callable, tasks: Sequence[tuple[tuple, int]], jobs: int) -> list:
     """fn(*args, lo, hi) over contiguous blocks covering range(total), for
     each task (args, total).  Each task splits into at most jobs blocks,
     never more than usable CPUs; when any task splits, every block runs in
-    one pool sized by the largest split.  The results merge with +, in
-    task order, then block order."""
+    one pool sized by the largest split.  One result per task, in task
+    order: that task's block results merged with +, in block order."""
     splits = [(args, _split_blocks(total, jobs)) for args, total in tasks]
     blocks = [(*args, lo, hi) for args, split in splits for lo, hi in split]
     workers = max(len(split) for _, split in splits)
+
+    def per_task(results: Iterator) -> list:
+        return [reduce(operator.add, islice(results, len(split))) for _, split in splits]
+
     if workers <= 1:
-        return reduce(operator.add, (fn(*b) for b in blocks))
+        return per_task(fn(*b) for b in blocks)
     with ProcessPoolExecutor(max_workers=workers) as pool:
         futures = [pool.submit(fn, *b) for b in blocks]
-        return reduce(operator.add, (f.result() for f in futures))
+        return per_task(f.result() for f in futures)
 
 
 # --- enumeration index spaces and samplers --------------------------------------
@@ -704,20 +702,21 @@ def _census_block(ctx: FieldCtx, family: Family, d: int, seed: int | None, start
 
 def _exhaustive_tally(
     ctx: FieldCtx, family: Family, degrees: range, jobs: int, budget: int | None, what: str
-) -> Counter:
-    """Tally by cycle type every map whose degree is in degrees: one run
-    with a task per degree."""
+) -> list[Counter]:
+    """One tally by cycle type per degree in degrees, of every map of that
+    degree: one run with a task per degree, under one budget check."""
     if not degrees or degrees[0] < 0:
         raise ValueError("degree must be >= 0")
-    count = sum(family.map_count(ctx, d) for d in degrees)
-    _check_budget(count * family.vertices(ctx), budget, f"{family.name} {what} q={ctx.q} d={degrees[-1]}")
+    counts = [family.map_count(ctx, d) for d in degrees]
+    _check_budget(sum(counts) * family.vertices(ctx), budget, f"{family.name} {what} q={ctx.q} d={degrees[-1]}")
     tasks = [((ctx, family, d, None), family.index_count(ctx, d)) for d in degrees]
-    types = run_blocks(_census_block, tasks, jobs)
-    if types.total() != count:
-        raise AssertionError(
-            f"enumerated {types.total()} maps, closed form says {count}; this is a bug"
-        )
-    return types
+    tallies = run_blocks(_census_block, tasks, jobs)
+    for d, count, types in zip(degrees, counts, tallies):
+        if types.total() != count:
+            raise AssertionError(
+                f"enumerated {types.total()} maps of degree {d}, closed form says {count}; this is a bug"
+            )
+    return tallies
 
 
 _D0_NOTE = (
@@ -773,7 +772,7 @@ def _exhaustive_census(
     ctx: FieldCtx, family: Family, d: int, kmax: int | None, jobs: int, budget: int | None
 ) -> CensusReport:
     kmax = family.vertices(ctx) if kmax is None else kmax
-    types = _exhaustive_tally(ctx, family, range(d, d + 1), jobs, budget, "census")
+    [types] = _exhaustive_tally(ctx, family, range(d, d + 1), jobs, budget, "census")
     return _build_report(ctx, family, d, kmax, types, "exhaustive")
 
 
@@ -817,34 +816,28 @@ def sampled_census(
         raise ValueError("samples must be >= 1")
     kmax = fam.vertices(ctx) if kmax is None else kmax
     if full_support:
-        types = _exhaustive_tally(ctx, fam, range(d, d + 1), jobs, budget, "census")
+        [types] = _exhaustive_tally(ctx, fam, range(d, d + 1), jobs, budget, "census")
     else:
         what = f"sampled {fam.name} census of {samples} maps over q={ctx.q}"
         _check_budget(samples * fam.vertices(ctx), budget, what, "lower the sample count")
-        types = run_blocks(_census_block, [((ctx, fam, d, seed), samples)], jobs)
+        [types] = run_blocks(_census_block, [((ctx, fam, d, seed), samples)], jobs)
     return _build_report(ctx, fam, d, kmax, types, "sampled", seed=seed, full_support=full_support)
 
 
-def _cycle_totals_at_most(
-    ctx: FieldCtx, family: Family, d: int, kmax: int | None, jobs: int, budget: int | None
-) -> tuple[dict[int, int], int]:
-    kmax = family.vertices(ctx) if kmax is None else kmax
-    s = cycle_sums(_exhaustive_tally(ctx, family, range(d + 1), jobs, budget, "cycle totals"), kmax)
-    return s.k_cycles, s.map_count
-
-
-def poly_cycle_totals_at_most(
-    ctx: FieldCtx, d: int, kmax: int | None = None, jobs: int = 1, budget: int | None = None
-) -> tuple[dict[int, int], int]:
-    """(k -> total k-cycles, map count) over all polynomials of degree <= d."""
-    return _cycle_totals_at_most(ctx, POLY, d, kmax, jobs, budget)
-
-
-def rat_cycle_totals_at_most(
-    ctx: FieldCtx, d: int, kmax: int | None = None, jobs: int = 1, budget: int | None = None
-) -> tuple[dict[int, int], int]:
-    """(k -> total k-cycles, map count) over all rational maps of degree <= d."""
-    return _cycle_totals_at_most(ctx, RATIONAL, d, kmax, jobs, budget)
+def cycle_totals_at_most(
+    ctx: FieldCtx, dmax: int, family: str, jobs: int = 1, budget: int | None = None
+) -> list[tuple[dict[int, int], int]]:
+    """For every d <= dmax, in order, (k -> total k-cycles, map count) over
+    all maps of the family of degree <= d: running sums of one tally per
+    exact degree, each degree walked once."""
+    fam = _family(family)
+    types: Counter = Counter()
+    rows = []
+    for tally in _exhaustive_tally(ctx, fam, range(dmax + 1), jobs, budget, "cycle totals"):
+        types += tally
+        s = cycle_sums(types, fam.vertices(ctx))
+        rows.append((s.k_cycles, s.map_count))
+    return rows
 
 
 # --- brute-force oracles for the closed-form counting arguments -----------------
@@ -994,7 +987,7 @@ def rho_experiment(
     # a walk never visits more than the whole space, so budget on that
     what = f"rho experiment of {samples} walks over {fam.vertices(ctx)} points"
     _check_budget(samples * fam.vertices(ctx), budget, what, "lower the sample count")
-    walks = run_blocks(_rho_block, [((ctx, fam, d, seed), samples)], jobs)
+    [walks] = run_blocks(_rho_block, [((ctx, fam, d, seed), samples)], jobs)
     tail = sum(t * n for (t, _), n in walks.items())
     cyc = sum(c * n for (_, c), n in walks.items())
     hist: Counter = Counter()

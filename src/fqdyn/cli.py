@@ -15,9 +15,10 @@ Exit codes: 0 success, 1 when any theory comparison in the emitted
 report has status "fail", 2 on usage, precondition, or budget errors,
 3 on an internal error: a broken invariant, which is a bug in fqdyn.
 
-JSON output echoes the run configuration; worker count, format, and
-output path are excluded from the echo so reports are byte-identical
-across --jobs values.  All output is UTF-8 and newline-terminated.
+JSON output echoes the run configuration, the evaluation budget included
+for every command that takes --budget; worker count, format, and output
+path are excluded from the echo so reports are byte-identical across
+--jobs values.  All output is UTF-8 and newline-terminated.
 """
 
 from __future__ import annotations
@@ -29,12 +30,11 @@ import sys
 from pathlib import Path
 
 from .census import (
+    cycle_totals_at_most,
     enumerate_S,
     poly_census,
-    poly_cycle_totals_at_most,
     random_constraint_instance,
     rat_census,
-    rat_cycle_totals_at_most,
     resolve_budget,
     rho_experiment,
     run_blocks,
@@ -128,7 +128,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_field_flags(vlp)
     vlp.add_argument("--dmax", type=_max_degree, required=True)
     _add_common_flags(vlp)
-    vlp.set_defaults(handler=_cmd_verify_lemma_polys)
+    vlp.set_defaults(handler=_cmd_verify_totals)
 
     vrc_help = "rational map counts from the independent reference enumerator, in one process (ignores --jobs)"
     vrc = vsubs.add_parser("rat-count", help=vrc_help, description=vrc_help)
@@ -149,7 +149,7 @@ def build_parser() -> argparse.ArgumentParser:
     # the sandwich bounds start at d = 1
     vcb.add_argument("--dmax", type=_int_at_least(1, "maximum degree"), required=True)
     _add_common_flags(vcb)
-    vcb.set_defaults(handler=_cmd_verify_cycle_bounds)
+    vcb.set_defaults(handler=_cmd_verify_totals)
 
     base = subs.add_parser("baseline", help="reference graph families")
     base.set_defaults(handler=_cmd_baseline)
@@ -223,7 +223,6 @@ def _cmd_census(args, jobs: int):
         "d": args.d,
         "kmax": rep.kmax,
         "mode": rep.mode,
-        "budget": resolve_budget(args.budget),
     }
     if rep.mode == "sampled":
         config["samples"] = rep.sample_count
@@ -234,32 +233,48 @@ def _cmd_census(args, jobs: int):
 
 def _verify_result(args, q: int, checks: list[dict], echo: dict | None = None, **extra):
     """(config, report, has_fail) of one verify check.  The config echoes
-    the field and `echo` (by default --dmax and the budget); the report
-    holds `extra`, the checks and whether all of them pass."""
+    the field and `echo` (by default --dmax); the report holds `extra`, the
+    checks and whether all of them pass."""
     config = {"command": f"verify:{args.check}", "p": args.p, "n": args.n, "q": q}
-    config.update(echo if echo is not None else {"dmax": args.dmax, "budget": resolve_budget(args.budget)})
+    config.update(echo if echo is not None else {"dmax": args.dmax})
     all_pass = all(c["status"] == "pass" for c in checks)
     return config, {**extra, "checks": checks, "all_pass": all_pass}, not all_pass
 
 
-def _cmd_verify_lemma_polys(args, jobs: int):
+def _poly_total_verdict(q: int, d: int, k: int, observed: int) -> dict:
+    expected = poly_cycle_sum(q, d, k)
+    return {"expected_total": expected, "status": "pass" if observed == expected else "fail"}
+
+
+def _rat_total_verdict(q: int, d: int, k: int, observed: int) -> dict:
+    b = rat_k_cycle_total_bounds(q, d, k)
+    entry = {"lower": frac_json(b.lower), "upper": frac_json(b.upper), "vacuous_lower": b.vacuous_lower}
+    if b.vacuous_lower:
+        entry["note"] = "lower bound vacuous at q <= k+1; upper checked only"
+    ok = (b.vacuous_lower or b.lower < observed) and observed < b.upper
+    return entry | {"status": "pass" if ok else "fail"}
+
+
+# verify check -> (map family, first degree checked, verdict fields of one
+# (d, k) total); the sandwich bounds start at d = 1
+_TOTAL_CHECKS = {
+    "lemma-polys": ("poly", 0, _poly_total_verdict),
+    "cycle-bounds": ("rational", 1, _rat_total_verdict),
+}
+
+
+def _cmd_verify_totals(args, jobs: int):
+    """The k-cycle totals over degree <= d, for every checked d <= --dmax,
+    from one run, each against its closed form."""
     ctx = _field(args)
+    family, first, verdict = _TOTAL_CHECKS[args.check]
+    rows = cycle_totals_at_most(ctx, args.dmax, family, jobs=jobs, budget=args.budget)
     checks = []
-    for d in range(args.dmax + 1):
-        totals, count = poly_cycle_totals_at_most(ctx, d, jobs=jobs, budget=args.budget)
+    for d in range(first, args.dmax + 1):
+        totals, count = rows[d]
         for k in range(1, d + 2):
-            expected = poly_cycle_sum(ctx.q, d, k)
             observed = totals.get(k, 0)
-            checks.append(
-                {
-                    "d": d,
-                    "k": k,
-                    "maps": count,
-                    "observed_total": observed,
-                    "expected_total": expected,
-                    "status": "pass" if observed == expected else "fail",
-                }
-            )
+            checks.append({"d": d, "k": k, "maps": count, "observed_total": observed} | verdict(ctx.q, d, k, observed))
     return _verify_result(args, ctx.q, checks)
 
 
@@ -323,38 +338,10 @@ def _cmd_verify_prov(args, jobs: int):
     walked = sum(ctx.q ** (len(g0) + len(g1) - 2) for g0, g1, _, _ in instances)
     what = f"counting {args.instances} interpolation families over q={ctx.q}"
     _check_budget(walked, args.budget, what, "lower --instances")
-    checks = run_blocks(_prov_checks, [((ctx, instances), len(instances))], jobs)
+    [checks] = run_blocks(_prov_checks, [((ctx, instances), len(instances))], jobs)
     case_tally = {case: sum(c["case"] == case for c in checks) for case in ("exactly", "at_most_one")}
     echo = {"instances": args.instances, "seed": args.seed}
     return _verify_result(args, ctx.q, checks, echo, case_tally=case_tally)
-
-
-def _cmd_verify_cycle_bounds(args, jobs: int):
-    ctx = _field(args)
-    q = ctx.q
-    checks = []
-    for d in range(1, args.dmax + 1):
-        totals, count = rat_cycle_totals_at_most(ctx, d, jobs=jobs, budget=args.budget)
-        for k in range(1, d + 2):
-            b = rat_k_cycle_total_bounds(q, d, k)
-            observed = totals.get(k, 0)
-            entry = {
-                "d": d,
-                "k": k,
-                "maps": count,
-                "observed_total": observed,
-                "lower": frac_json(b.lower),
-                "upper": frac_json(b.upper),
-                "vacuous_lower": b.vacuous_lower,
-            }
-            if b.vacuous_lower:
-                ok = observed < b.upper
-                entry["note"] = "lower bound vacuous at q <= k+1; upper checked only"
-            else:
-                ok = b.lower < observed < b.upper
-            entry["status"] = "pass" if ok else "fail"
-            checks.append(entry)
-    return _verify_result(args, q, checks)
 
 
 def _cmd_baseline(args, jobs: int):
@@ -454,6 +441,8 @@ def run(argv: list[str] | None = None) -> int:
     jobs = usable_cpus() if getattr(args, "jobs", None) is None else args.jobs
     try:
         config, rep, has_fail = args.handler(args, jobs)
+        if hasattr(args, "budget"):  # every command whose parser has --budget echoes it
+            config["budget"] = resolve_budget(args.budget)
     except (ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -20,12 +20,11 @@ from math import comb
 
 from fqdyn.baseline import baseline_census, enumerate_quadratic_graphs
 from fqdyn.census import (
+    cycle_totals_at_most,
     enumerate_S,
     poly_census,
-    poly_cycle_totals_at_most,
     random_constraint_instance,
     rat_census,
-    rat_cycle_totals_at_most,
     rho_experiment,
     solution_count_case,
 )
@@ -79,8 +78,7 @@ def test_criterion_01_poly_cycle_totals_exact():
     checked = 0
     for p, n in FIELDS_Q2345:
         ctx = field(p, n)
-        for d in range(4):
-            totals, count = poly_cycle_totals_at_most(ctx, d)
+        for d, (totals, count) in enumerate(cycle_totals_at_most(ctx, 3, "poly")):
             assert count == ctx.q ** (d + 1)
             for k in range(1, d + 2):
                 assert totals.get(k, 0) == poly_cycle_sum(ctx.q, d, k), (ctx.q, d, k)
@@ -135,8 +133,9 @@ def test_criterion_05_k_cycle_total_sandwich():
     for p, n in [(3, 1), (5, 1)]:
         ctx = field(p, n)
         q = ctx.q
+        rows = cycle_totals_at_most(ctx, 2, "rational")
         for d in (1, 2):
-            totals, _ = rat_cycle_totals_at_most(ctx, d)
+            totals, _ = rows[d]
             for k in range(1, d + 2):
                 if q <= k + 1:
                     continue

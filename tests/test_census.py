@@ -3,6 +3,7 @@ closed forms, and determinism requirements."""
 
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache
 
@@ -10,17 +11,17 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from fqdyn import census
+from fqdyn import census, cli
 from fqdyn.census import (
+    POLY,
     BudgetError,
     compare,
+    cycle_totals_at_most,
     enumerate_S,
     mean_stderr,
     poly_census,
-    poly_cycle_totals_at_most,
     random_constraint_instance,
     rat_census,
-    rat_cycle_totals_at_most,
     resolve_budget,
     rho_experiment,
     sampled_census,
@@ -129,22 +130,29 @@ class TestRatCensus:
         assert not rep.failed
 
 
+def _labelled_range(label: str, lo: int, hi: int) -> list:
+    """A block result that shows its task and its slots, in order."""
+    return [(label, i) for i in range(lo, hi)]
+
+
 class TestCycleTotals:
     @pytest.mark.parametrize("ctx,q", [(F2, 2), (F3, 3), (F5, 5)])
     @pytest.mark.parametrize("d", [0, 1, 2])
     def test_poly_totals_match_closed_form(self, ctx, q, d):
-        totals, count = poly_cycle_totals_at_most(ctx, d)
-        assert count == q ** (d + 1)
-        for k in range(1, d + 2):
-            assert totals.get(k, 0) == poly_cycle_sum(q, d, k)
+        rows = cycle_totals_at_most(ctx, d, "poly")
+        assert len(rows) == d + 1
+        for e, (totals, count) in enumerate(rows):
+            assert count == q ** (e + 1)
+            for k in range(1, e + 2):
+                assert totals.get(k, 0) == poly_cycle_sum(q, e, k)
 
     def test_rat_totals_f3_d1(self):
-        totals, count = rat_cycle_totals_at_most(F3, 1)
+        totals, count = cycle_totals_at_most(F3, 1, "rational")[1]
         assert count == rat_count(3, 1, "at_most") == 28
         assert totals == {1: 28, 2: 12, 3: 8, 4: 6}
 
     def test_rat_totals_sandwich(self):
-        totals, _ = rat_cycle_totals_at_most(F3, 1)
+        totals, _ = cycle_totals_at_most(F3, 1, "rational")[1]
         b = rat_k_cycle_total_bounds(3, 1, 1)
         assert b.lower < totals[1] < b.upper  # 12 < 28 < 36
 
@@ -152,40 +160,42 @@ class TestCycleTotals:
     @pytest.mark.parametrize("p, n", [(2, 1), (3, 1), (2, 2), (5, 1)])
     @pytest.mark.parametrize("d", [0, 1, 2])
     def test_totals_match_a_horner_walk_of_every_map_up_to_d(self, family, p, n, d):
-        """The reference enumerates degree <= d in one walk, evaluates each
-        map at every point by Horner's rule and counts its cycles apart."""
+        """For every prefix e <= d, the reference enumerates degree <= e in
+        one walk, evaluates each map at every point by Horner's rule and
+        counts its cycles apart."""
         ctx = make_field(p, n)
         if family == "poly":
-            maps, evaluate, points = enumerate_polys(ctx, d, "at_most"), eval_poly, ctx.q
-            totals_at_most = poly_cycle_totals_at_most
+            enumerate_at_most, evaluate, points = enumerate_polys, eval_poly, ctx.q
         else:
-            maps, evaluate, points = enumerate_rationals(ctx, d, "at_most"), eval_rational, ctx.q + 1
-            totals_at_most = rat_cycle_totals_at_most
-        want: Counter = Counter()
-        count = 0
-        for m in maps:
-            want.update(oracle_cycle_lengths([evaluate(ctx, m, x) for x in range(points)]))
-            count += 1
-        assert totals_at_most(ctx, d) == (dict(sorted(want.items())), count)
+            enumerate_at_most, evaluate, points = enumerate_rationals, eval_rational, ctx.q + 1
+        rows = []
+        for e in range(d + 1):
+            want: Counter = Counter()
+            count = 0
+            for m in enumerate_at_most(ctx, e, "at_most"):
+                want.update(oracle_cycle_lengths([evaluate(ctx, m, x) for x in range(points)]))
+                count += 1
+            rows.append((dict(sorted(want.items())), count))
+        assert cycle_totals_at_most(ctx, d, family) == rows
 
     @pytest.mark.parametrize(
-        "totals, maps_of_degree, points",
+        "family, maps_of_degree, points",
         [
-            (poly_cycle_totals_at_most, lambda e: poly_exactly_count(F3, e), 3),
-            (rat_cycle_totals_at_most, lambda e: rat_count(3, e, "exactly"), 4),
+            ("poly", lambda e: poly_exactly_count(F3, e), 3),
+            ("rational", lambda e: rat_count(3, e, "exactly"), 4),
         ],
         ids=["poly", "rational"],
     )
-    def test_budget_covers_every_degree(self, totals, maps_of_degree, points):
+    def test_budget_covers_every_degree(self, family, maps_of_degree, points):
         """One budget check on the maps of all degrees 0..d together."""
         need = sum(maps_of_degree(e) for e in range(3)) * points
-        assert totals(F3, 2, budget=need)[1] * points == need
+        assert cycle_totals_at_most(F3, 2, family, budget=need)[-1][1] * points == need
         with pytest.raises(BudgetError, match="cycle totals") as err:
-            totals(F3, 2, budget=need - 1)
+            cycle_totals_at_most(F3, 2, family, budget=need - 1)
         assert f"needs {need} map evaluations" in str(err.value)
 
-    @pytest.mark.parametrize("totals", [poly_cycle_totals_at_most, rat_cycle_totals_at_most])
-    def test_degrees_share_one_worker_pool(self, totals, monkeypatch):
+    @pytest.mark.parametrize("family", ["poly", "rational"])
+    def test_degrees_share_one_worker_pool(self, family, monkeypatch):
         """Each degree is a task of one run: one pool for all of them, and
         the same totals as in one process."""
         monkeypatch.setattr(census, "usable_cpus", lambda: 2)
@@ -197,8 +207,40 @@ class TestCycleTotals:
                 super().__init__(*args, **kwargs)
 
         monkeypatch.setattr(census, "ProcessPoolExecutor", CountedPool)
-        assert totals(F3, 2, jobs=2) == totals(F3, 2, jobs=1)
+        assert cycle_totals_at_most(F3, 2, family, jobs=2) == cycle_totals_at_most(F3, 2, family, jobs=1)
         assert pools == [{"max_workers": 2}]
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_run_blocks_returns_one_result_per_task(self, jobs, monkeypatch):
+        """Each task's blocks merge in block order into that task's result;
+        list results show the order, as verify prov's check lists do."""
+        monkeypatch.setattr(census, "usable_cpus", lambda: 2)
+        tasks = [(("a",), 5), (("b",), 0), (("c",), 3)]
+        assert census.run_blocks(_labelled_range, tasks, jobs) == [
+            [("a", i) for i in range(5)], [], [("c", i) for i in range(3)]
+        ]
+
+    def test_each_degree_checked_against_its_own_count(self, monkeypatch, capsys):
+        """A walk that loses a map of degree 1 and yields it again as one of
+        degree 2 keeps the summed count; the per-degree check still fails,
+        and the CLI reports it as an internal error."""
+
+        def shifted(ctx, d, lo, hi):
+            """POLY's walk, with the last map of degree 1 moved to the end of degree 2."""
+            tables = list(POLY.successors(ctx, d, lo, hi))
+            if d == 1 and hi == POLY.index_count(ctx, 1):
+                tables.pop()
+            if d == 2 and hi == POLY.index_count(ctx, 2):
+                tables += list(POLY.successors(ctx, 1, 0, POLY.index_count(ctx, 1)))[-1:]
+            return tables
+
+        walked = [len(shifted(F3, e, 0, POLY.index_count(F3, e))) for e in range(3)]
+        assert sum(walked) == sum(POLY.map_count(F3, e) for e in range(3))  # so a summed check passes
+        monkeypatch.setitem(census.FAMILIES, "poly", replace(POLY, successors=shifted))
+        with pytest.raises(AssertionError, match="enumerated 5 maps of degree 1, closed form says 6; this is a bug"):
+            cycle_totals_at_most(F3, 2, "poly")
+        assert cli.run(["verify", "lemma-polys", "--p", "3", "--dmax", "2", "--jobs", "1"]) == 3
+        assert capsys.readouterr().err.startswith("internal error: enumerated 5 maps of degree 1,")
 
 
 class TestSampledCensus:
@@ -425,13 +467,6 @@ class TestKmaxAtReportTime:
             ]
             for name in ("map_count", "avg_components", "avg_periodic", "stderr_components", "stderr_periodic"):
                 assert getattr(rep, name) == getattr(full, name)
-
-    @pytest.mark.parametrize("totals", [poly_cycle_totals_at_most, rat_cycle_totals_at_most])
-    def test_cycle_totals_up_to_kmax(self, totals):
-        full, count = totals(F5, 1)
-        assert max(full) > 3
-        for kmax in (1, 2, 3):
-            assert totals(F5, 1, kmax) == ({k: v for k, v in full.items() if k <= kmax}, count)
 
 
 class TestCycleGivers:

@@ -1,10 +1,12 @@
 """Front-end behavior: flags, exit codes, report schemas, and the
 byte-level determinism contract."""
 
+import argparse
 import json
 import os
 import subprocess
 import sys
+from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
 import pytest
@@ -183,6 +185,96 @@ class TestVerifyCommands:
         assert doc["report"]["all_pass"] is True
         vacuous = [c for c in doc["report"]["checks"] if c["vacuous_lower"]]
         assert vacuous, "q=3 has k with q <= k+1, so some lower bounds are vacuous"
+
+
+# the at-most totals checks: argv, map family and the degrees they walk
+AT_MOST_CHECKS = {
+    "lemma-polys": (["verify", "lemma-polys", "--p", "3", "--dmax", "3"], census.POLY, range(4)),
+    "cycle-bounds": (["verify", "cycle-bounds", "--p", "3", "--dmax", "2"], census.RATIONAL, range(3)),
+}
+
+
+class TestAtMostTotalsRunOnce:
+    """verify lemma-polys and cycle-bounds tally each degree 0..--dmax once,
+    in one run: one worker pool and one budget check per command."""
+
+    @pytest.mark.parametrize("check", list(AT_MOST_CHECKS))
+    def test_one_worker_pool(self, check, monkeypatch, capsys):
+        monkeypatch.setattr(census, "usable_cpus", lambda: 2)
+        pools = []
+
+        class CountedPool(ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                pools.append(kwargs)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(census, "ProcessPoolExecutor", CountedPool)
+        assert cli.run([*AT_MOST_CHECKS[check][0], "--jobs", "2"]) == 0
+        assert pools == [{"max_workers": 2}]
+
+    @pytest.mark.parametrize("check", list(AT_MOST_CHECKS))
+    def test_every_slot_walked_once(self, check, monkeypatch, capsys):
+        argv, family, degrees = AT_MOST_CHECKS[check]
+        walked = []
+        block = census._census_block
+
+        def spy(ctx, fam, d, seed, start, stop):
+            walked.extend((d, i) for i in range(start, stop))
+            return block(ctx, fam, d, seed, start, stop)
+
+        monkeypatch.setattr(census, "_census_block", spy)
+        assert cli.run([*argv, "--jobs", "1"]) == 0
+        ctx = cli.make_field(3, 1)
+        assert sorted(walked) == [(d, i) for d in degrees for i in range(family.index_count(ctx, d))]
+
+    @pytest.mark.parametrize("check", list(AT_MOST_CHECKS))
+    def test_budget_refused_before_any_block(self, check, monkeypatch, capsys):
+        argv, family, degrees = AT_MOST_CHECKS[check]
+        ctx = cli.make_field(3, 1)
+        need = sum(family.map_count(ctx, d) for d in degrees) * family.vertices(ctx)
+
+        def no_block(*args):
+            raise AssertionError("a block ran before the budget check")
+
+        monkeypatch.setattr(census, "_census_block", no_block)
+        assert cli.run([*argv, "--jobs", "1", "--budget", str(need - 1)]) == 2
+        err = capsys.readouterr().err
+        assert f"needs {need} map evaluations, over the budget of {need - 1}" in err
+
+
+def _leaf_parsers(parser: argparse.ArgumentParser, path: tuple = ()):
+    """(command words, parser) of every parser that takes no subcommand."""
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        yield path, parser
+    for action in subs:
+        for name, sub in action.choices.items():
+            yield from _leaf_parsers(sub, (*path, name))
+
+
+# every command that takes --budget, with a tiny input for it
+BUDGETED = {
+    ("census",): ["--p", "2", "--d", "1"],
+    ("verify", "lemma-polys"): ["--p", "2", "--dmax", "1"],
+    ("verify", "rat-count"): ["--p", "2", "--dmax", "1"],
+    ("verify", "prov"): ["--p", "3", "--instances", "2"],
+    ("verify", "cycle-bounds"): ["--p", "2", "--dmax", "1"],
+    ("baseline", "random"): ["--size", "3"],
+    ("baseline", "quadratic"): ["--m", "2", "--t", "2"],
+    ("rho",): ["--p", "5", "--d", "1", "--samples", "3"],
+}
+
+
+class TestBudgetEcho:
+    def test_table_lists_every_command_with_a_budget(self):
+        leaves = {path for path, p in _leaf_parsers(cli.build_parser()) if "--budget" in p._option_string_actions}
+        assert leaves == set(BUDGETED)
+
+    @pytest.mark.parametrize("path", list(BUDGETED), ids=" ".join)
+    def test_config_echoes_the_budget(self, path, capsys):
+        budget = 123_457
+        assert cli.run([*path, *BUDGETED[path], "--budget", str(budget), "--jobs", "1"]) == 0
+        assert json.loads(capsys.readouterr().out)["config"]["budget"] == budget
 
 
 class TestBaselineCommands:
