@@ -27,6 +27,7 @@ import argparse
 import math
 import os
 import sys
+from functools import partial
 from pathlib import Path
 
 from .census import (
@@ -128,7 +129,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_field_flags(vlp)
     vlp.add_argument("--dmax", type=_max_degree, required=True)
     _add_common_flags(vlp)
-    vlp.set_defaults(handler=_cmd_verify_totals)
+    vlp.set_defaults(handler=partial(_cmd_verify_totals, "poly", 0, _poly_total_verdict))
 
     vrc_help = "rational map counts from the independent reference enumerator, in one process (ignores --jobs)"
     vrc = vsubs.add_parser("rat-count", help=vrc_help, description=vrc_help)
@@ -149,7 +150,7 @@ def build_parser() -> argparse.ArgumentParser:
     # the sandwich bounds start at d = 1
     vcb.add_argument("--dmax", type=_int_at_least(1, "maximum degree"), required=True)
     _add_common_flags(vcb)
-    vcb.set_defaults(handler=_cmd_verify_totals)
+    vcb.set_defaults(handler=partial(_cmd_verify_totals, "rational", 1, _rat_total_verdict))
 
     base = subs.add_parser("baseline", help="reference graph families")
     base.set_defaults(handler=_cmd_baseline)
@@ -255,19 +256,10 @@ def _rat_total_verdict(q: int, d: int, k: int, observed: int) -> dict:
     return entry | {"status": "pass" if ok else "fail"}
 
 
-# verify check -> (map family, first degree checked, verdict fields of one
-# (d, k) total); the sandwich bounds start at d = 1
-_TOTAL_CHECKS = {
-    "lemma-polys": ("poly", 0, _poly_total_verdict),
-    "cycle-bounds": ("rational", 1, _rat_total_verdict),
-}
-
-
-def _cmd_verify_totals(args, jobs: int):
-    """The k-cycle totals over degree <= d, for every checked d <= --dmax,
-    from one run, each against its closed form."""
+def _cmd_verify_totals(family: str, first: int, verdict, args, jobs: int):
+    """The family's k-cycle totals over degree <= d, for every d from first
+    to --dmax, from one run; verdict gives the check fields of each total."""
     ctx = _field(args)
-    family, first, verdict = _TOTAL_CHECKS[args.check]
     rows = cycle_totals_at_most(ctx, args.dmax, family, jobs=jobs, budget=args.budget)
     checks = []
     for d in range(first, args.dmax + 1):
