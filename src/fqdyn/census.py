@@ -70,6 +70,7 @@ from . import theory
 
 DEFAULT_BUDGET = 10**9
 BUDGET_ENV_VAR = "FQDYN_BUDGET"
+_CENSUS_ADVICE = "use the sampled mode (sampled_census) instead"
 
 
 class BudgetError(ValueError):
@@ -91,15 +92,13 @@ def resolve_budget(budget: int | None) -> int:
     return limit
 
 
-def _check_budget(
-    evaluations: int, budget: int | None, what: str, advice: str = "use the sampled mode (sampled_census) instead"
-) -> None:
+def _check_budget(evaluations: int, budget: int | None, what: str, advice: str) -> None:
+    """Refuse evaluations over the budget, naming the source the limit came from."""
     limit = resolve_budget(budget)
     if evaluations > limit:
+        source = "--budget" if budget is not None else f"--budget or the {BUDGET_ENV_VAR} environment variable"
         raise BudgetError(
-            f"{what} needs {evaluations} map evaluations, over the budget of "
-            f"{limit}; {advice}, or raise the budget via the {BUDGET_ENV_VAR} "
-            f"environment variable"
+            f"{what} needs {evaluations} map evaluations, over the budget of {limit}; {advice}, or raise {source}"
         )
 
 
@@ -701,14 +700,15 @@ def _census_block(ctx: FieldCtx, family: Family, d: int, seed: int | None, start
 
 
 def _exhaustive_tally(
-    ctx: FieldCtx, family: Family, degrees: range, jobs: int, budget: int | None, what: str
+    ctx: FieldCtx, family: Family, degrees: range, jobs: int, budget: int | None, what: str, advice: str
 ) -> list[Counter]:
     """One tally by cycle type per degree in degrees, of every map of that
     degree: one run with a task per degree, under one budget check."""
     if not degrees or degrees[0] < 0:
         raise ValueError("degree must be >= 0")
     counts = [family.map_count(ctx, d) for d in degrees]
-    _check_budget(sum(counts) * family.vertices(ctx), budget, f"{family.name} {what} q={ctx.q} d={degrees[-1]}")
+    what = f"{family.name} {what} q={ctx.q} d={degrees[-1]}"
+    _check_budget(sum(counts) * family.vertices(ctx), budget, what, advice)
     tasks = [((ctx, family, d, None), family.index_count(ctx, d)) for d in degrees]
     tallies = run_blocks(_census_block, tasks, jobs)
     for d, count, types in zip(degrees, counts, tallies):
@@ -772,7 +772,7 @@ def _exhaustive_census(
     ctx: FieldCtx, family: Family, d: int, kmax: int | None, jobs: int, budget: int | None
 ) -> CensusReport:
     kmax = family.vertices(ctx) if kmax is None else kmax
-    [types] = _exhaustive_tally(ctx, family, range(d, d + 1), jobs, budget, "census")
+    [types] = _exhaustive_tally(ctx, family, range(d, d + 1), jobs, budget, "census", _CENSUS_ADVICE)
     return _build_report(ctx, family, d, kmax, types, "exhaustive")
 
 
@@ -816,7 +816,7 @@ def sampled_census(
         raise ValueError("samples must be >= 1")
     kmax = fam.vertices(ctx) if kmax is None else kmax
     if full_support:
-        [types] = _exhaustive_tally(ctx, fam, range(d, d + 1), jobs, budget, "census")
+        [types] = _exhaustive_tally(ctx, fam, range(d, d + 1), jobs, budget, "census", _CENSUS_ADVICE)
     else:
         what = f"sampled {fam.name} census of {samples} maps over q={ctx.q}"
         _check_budget(samples * fam.vertices(ctx), budget, what, "lower the sample count")
@@ -833,7 +833,7 @@ def cycle_totals_at_most(
     fam = _family(family)
     types: Counter = Counter()
     rows = []
-    for tally in _exhaustive_tally(ctx, fam, range(dmax + 1), jobs, budget, "cycle totals"):
+    for tally in _exhaustive_tally(ctx, fam, range(dmax + 1), jobs, budget, "cycle totals", "lower --dmax"):
         types += tally
         s = cycle_sums(types, fam.vertices(ctx))
         rows.append((s.k_cycles, s.map_count))

@@ -27,6 +27,7 @@ import argparse
 import math
 import os
 import sys
+from collections import Counter
 from functools import partial
 from pathlib import Path
 
@@ -272,14 +273,17 @@ def _cmd_verify_totals(family: str, first: int, verdict, args, jobs: int):
 
 def _cmd_verify_rat_count(args, jobs: int):
     # enumerate_rationals is the independent reference that the census's
-    # block walk is checked against, so it runs whole in one process
+    # block walk is checked against, so it runs whole in one process, once:
+    # a map of degree e comes from every walk over degree >= e, so the maps
+    # of one walk over degree <= --dmax, counted by degree, give both modes
     ctx = _field(args)
+    # every raw pair is decoded and gcd-tested, so each counts as one evaluation
+    what = f"rational count at q={ctx.q} d<={args.dmax}"
+    _check_budget(_rational_raw_count(ctx, args.dmax), args.budget, what, "lower --dmax")
+    by_degree = Counter(m.degree for m in enumerate_rationals(ctx, args.dmax, "at_most"))
     checks = []
     for d in range(args.dmax + 1):
-        # every raw pair is decoded and gcd-tested, so each counts as one evaluation
-        _check_budget(_rational_raw_count(ctx, d), args.budget, f"rational count at q={ctx.q} d={d}", "lower --dmax")
-        for mode in ("at_most", "exactly"):
-            observed = sum(1 for _ in enumerate_rationals(ctx, d, mode))
+        for mode, observed in (("at_most", sum(by_degree[e] for e in range(d + 1))), ("exactly", by_degree[d])):
             expected = rat_count(ctx.q, d, mode)
             checks.append(
                 {

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 
-from fqdyn import baseline, census, cli
+from fqdyn import baseline, census, cli, fmaps
 from fqdyn.census import RhoSummary
 
 
@@ -128,11 +128,37 @@ class TestVerifyCommands:
         assert code == 0, err
         assert json.loads(out)["report"]["all_pass"] is True
 
-    def test_rat_count_budget_exit(self, capsys):
-        # d = 1 over GF(3) walks 36 raw pairs
+    def test_rat_count_budget_exit(self, monkeypatch, capsys):
+        # the one walk over degree <= 2 over GF(3) decodes 351 raw pairs, and
+        # the budget is checked on them before the first decode
+        def no_walk(*args):
+            raise AssertionError("a rational map was enumerated before the budget check")
+
+        monkeypatch.setattr(cli, "enumerate_rationals", no_walk)
         code = cli.run(["verify", "rat-count", "--p", "3", "--dmax", "2", "--budget", "10", "--jobs", "1"])
         assert code == 2
-        assert "36 map evaluations" in capsys.readouterr().err
+        assert "351 map evaluations" in capsys.readouterr().err
+
+    def test_rat_count_walks_once(self, monkeypatch, capsys):
+        """One walk over degree <= --dmax gives both modes of every d: each
+        raw pair is decoded once, not once per mode and degree."""
+        walks, decodes = [], []
+        enumerate_rationals, decode = cli.enumerate_rationals, fmaps.poly_at_most_at
+
+        def walk(ctx, d, mode="exactly"):
+            walks.append((d, mode))
+            return enumerate_rationals(ctx, d, mode)
+
+        def spy(ctx, d, index):
+            decodes.append(index)
+            return decode(ctx, d, index)
+
+        monkeypatch.setattr(cli, "enumerate_rationals", walk)
+        monkeypatch.setattr(fmaps, "poly_at_most_at", spy)
+        assert cli.run(["verify", "rat-count", "--p", "3", "--dmax", "3", "--jobs", "1"]) == 0
+        assert json.loads(capsys.readouterr().out)["report"]["all_pass"] is True
+        assert walks == [(3, "at_most")]
+        assert len(decodes) == census._rational_raw_count(cli.make_field(3, 1), 3) == 3240
 
     def test_prov_budget_exit(self, monkeypatch, capsys):
         # --budget used to be ignored: GF(31) with 3 instances ran for
@@ -228,6 +254,14 @@ class TestAtMostTotalsRunOnce:
         assert sorted(walked) == [(d, i) for d in degrees for i in range(family.index_count(ctx, d))]
 
     @pytest.mark.parametrize("check", list(AT_MOST_CHECKS))
+    def test_budget_refusal_advises_lowering_dmax(self, check, capsys):
+        # the advice used to be "use the sampled mode (sampled_census)
+        # instead", which neither command has
+        assert cli.run([*AT_MOST_CHECKS[check][0], "--jobs", "1", "--budget", "10"]) == 2
+        err = capsys.readouterr().err
+        assert "; lower --dmax, or raise --budget" in err and "sampled" not in err
+
+    @pytest.mark.parametrize("check", list(AT_MOST_CHECKS))
     def test_budget_refused_before_any_block(self, check, monkeypatch, capsys):
         argv, family, degrees = AT_MOST_CHECKS[check]
         ctx = cli.make_field(3, 1)
@@ -275,6 +309,26 @@ class TestBudgetEcho:
         budget = 123_457
         assert cli.run([*path, *BUDGETED[path], "--budget", str(budget), "--jobs", "1"]) == 0
         assert json.loads(capsys.readouterr().out)["config"]["budget"] == budget
+
+
+class TestBudgetRefusal:
+    """A refusal names where its limit came from: --budget when it was
+    given, since FQDYN_BUDGET is then not read, else both."""
+
+    @pytest.mark.parametrize("path", list(BUDGETED), ids=" ".join)
+    def test_given_budget_names_the_flag(self, path, monkeypatch, capsys):
+        monkeypatch.setenv("FQDYN_BUDGET", str(10**12))
+        assert cli.run([*path, *BUDGETED[path], "--budget", "0", "--jobs", "1"]) == 2
+        err = capsys.readouterr().err
+        assert "over the budget of 0;" in err and err.endswith(", or raise --budget\n")
+        assert "FQDYN_BUDGET" not in err
+
+    @pytest.mark.parametrize("path", list(BUDGETED), ids=" ".join)
+    def test_default_budget_names_flag_and_variable(self, path, monkeypatch, capsys):
+        monkeypatch.setenv("FQDYN_BUDGET", "0")
+        assert cli.run([*path, *BUDGETED[path], "--jobs", "1"]) == 2
+        err = capsys.readouterr().err
+        assert err.endswith(", or raise --budget or the FQDYN_BUDGET environment variable\n")
 
 
 class TestBaselineCommands:
