@@ -17,11 +17,12 @@ fields up to TABLE_CAP elements.  In characteristic 2 a handle is
 a GF(2) bit vector, so addition and subtraction are XOR and negation is
 the identity; for odd p negation multiplies by handle p - 1, which is
 -1, and addition in extension fields uses a Zech-logarithm table.  The
-tables come from the smallest generator of the unit group, found and
-tabulated in one walk of its powers (a carry-less shift-XOR product for
-p = 2, digit lists for odd p).  Prime fields above the cap fall back to
-direct modular arithmetic; extension fields above the cap are refused
-before any modulus is searched for.
+tables come from the smallest generator of the unit group.  Candidates
+are tested by their order, by square-and-multiply, so only the
+generator's powers are walked, once (a shift-XOR step with a small
+reduction table for p = 2, digit lists for odd p).  Prime fields above
+the cap fall back to direct modular arithmetic; extension fields above
+the cap are refused before any modulus is searched for.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import partial
 from itertools import product
-from typing import Sequence
+from typing import Callable, Sequence
 
 FqElem = int
 
@@ -218,29 +219,67 @@ def _default_modulus(p: int, n: int) -> tuple[int, ...]:
     raise AssertionError("no irreducible polynomial found; unreachable for prime p")
 
 
+def _prime_factors(m: int) -> list[int]:
+    """The distinct primes dividing m >= 1, by trial division."""
+    out, f = [], 2
+    while f * f <= m:
+        if m % f == 0:
+            out.append(f)
+            while m % f == 0:
+                m //= f
+        f += 1
+    return out + [m] if m > 1 else out
+
+
+def _power(mul: Callable[[int, int], int], g: int, e: int) -> int:
+    """g**e by square-and-multiply through mul."""
+    out = 1
+    while e:
+        if e & 1:
+            out = mul(out, g)
+        e >>= 1
+        g = mul(g, g)
+    return out
+
+
 def _build_tables(
     p: int, n: int, q: int, modulus: tuple[int, ...]
 ) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...] | None]:
     """exp, log and Zech tables of the smallest generator of GF(q)*.
 
-    Candidates 2, 3, ... are tried in handle order, each by walking its
-    powers until they return to 1.  Every order divides q - 1, so the
-    first walk that passes through all q - 1 units is the generator's,
-    and that walk is the exp table.  q == 2 keeps exp == [1]: the
-    trivial group.  Only odd-p extension fields get a Zech table.
+    Candidates 2, 3, ... are tried in handle order by their order alone:
+    g generates exactly when g^((q-1)/r) != 1 for every prime r dividing
+    q - 1, a few dozen products by square-and-multiply.  Only the first
+    generator's powers are walked, once, and that walk is the exp table.
+    In characteristic 2 each step multiplies by g as a few shifts of the
+    running power, and one lookup reduces the bits past t^(n-1).  q == 2
+    keeps exp == [1]: the trivial group.  Only odd-p extension fields get
+    a Zech table.
     """
     if p == 2:
         mul = partial(_gf2_mul, modulus=undigits(modulus, 2), n=n)
+    elif n == 1:
+        mul = lambda a, b: a * b % p
     else:
         mul = partial(_slow_mul, modulus=modulus, p=p, n=n)
-    exp = [1]
-    for g in range(2, q):
-        exp, x = [1], g
-        while x != 1:
-            exp.append(x)
-            x = x * g % p if n == 1 else mul(x, g)
-        if len(exp) == q - 1:
-            break
+    cofactors = [(q - 1) // r for r in _prime_factors(q - 1)]
+    g = next((g for g in range(2, q) if all(_power(mul, g, e) != 1 for e in cofactors)), 1)
+
+    if p == 2:
+        shifts = [i for i in range(g.bit_length()) if g >> i & 1]
+        low = (1 << n) - 1
+        # reduce[h] is h * t^n: the bits a product by g carries past t^(n-1)
+        reduce = [mul(h, undigits(modulus[:n], 2)) for h in range(1 << max(0, g.bit_length() - 1))]
+    exp, x = [1], g
+    while x != 1:
+        exp.append(x)
+        if p == 2:
+            y = 0
+            for s in shifts:
+                y ^= x << s
+            x = (y & low) ^ reduce[y >> n]
+        else:
+            x = mul(x, g)
     exp += exp
 
     log = [_ZECH_NONE] * q

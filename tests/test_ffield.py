@@ -263,6 +263,41 @@ def test_tables_above_the_sweep_are_pinned(n, modulus_bits, g, exp_digest, log_d
     assert f.zech_table is None
 
 
+@pytest.mark.parametrize(
+    "p, n, modulus, g, digests",
+    [
+        (3, 8, (1, 0, 0, 0, 0, 1, 1, 0, 1), 4, ("8225aee19fc8e20f", "08f6de93ef98b5ca", "5c70912cb90e9db9")),
+        (5, 6, (1, 0, 0, 0, 1, 1, 1), 6, ("73d78810a057ed8e", "93de4a104693864e", "e105e7a2908d61de")),
+        (7, 5, (1, 0, 0, 0, 3, 1), 11, ("ef24b494cb8a06ec", "fcba372f577e765a", "4c527c697912e038")),
+    ],
+)
+def test_odd_p_tables_above_the_sweep_are_pinned(p, n, modulus, g, digests):
+    # digests of the exp, log and Zech tables of a walk through every candidate's powers
+    f = make_field(p, n)
+    assert f.modulus == modulus
+    assert f.exp_table[1] == g
+    assert tuple(map(_digest, (f.exp_table, f.log_table, f.zech_table))) == digests
+
+
+@pytest.mark.parametrize("p, n", [(3, 8), (2, 14)])
+def test_no_non_generator_is_walked(p, n, monkeypatch):
+    """Candidates are rejected by their order; only the generator's powers
+    are walked, so the products stay near q - 1."""
+    calls = []
+
+    def counted(mul):
+        def wrapper(*args, **kwargs):
+            calls.append(1)
+            return mul(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("_slow_mul", "_gf2_mul"):
+        monkeypatch.setattr(ffield, name, counted(getattr(ffield, name)))
+    q = make_field(p, n).q
+    assert len(calls) < q - 1 + 200
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.sampled_from([14, 16]), st.data())
 def test_xor_addition_gf2_14_and_gf2_16(n: int, data):
