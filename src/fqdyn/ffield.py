@@ -269,7 +269,7 @@ def _build_tables(
         shifts = [i for i in range(g.bit_length()) if g >> i & 1]
         low = (1 << n) - 1
         # reduce[h] is h * t^n: the bits a product by g carries past t^(n-1)
-        reduce = [mul(h, undigits(modulus[:n], 2)) for h in range(1 << max(0, g.bit_length() - 1))]
+        reduce = [mul(h, undigits(modulus[:n], 2)) for h in range(1 << (g.bit_length() - 1))]
     exp, x = [1], g
     while x != 1:
         exp.append(x)
