@@ -6,12 +6,10 @@ tasks, each an index range split into contiguous blocks; each block
 turns its indices into maps and counts them in a Counter, and each
 task's blocks merge by plain addition into one result per task.
 Addition is associative and commutative, so every worker count and
-schedule yields byte-identical reports.  A pool's workers receive the
-block function and every task's arguments (a FieldCtx among them) once,
-when they start; a block then carries only its task index and range.
-Census and baseline blocks count maps by cycle type, the sorted tuple of
-cycle lengths (fgraph.cycle_census); a report derives every sum it reads
-once per type (cycle_sums), and kmax applies only there.
+schedule yields byte-identical reports.  Census and baseline blocks
+count maps by cycle type, the sorted tuple of cycle lengths
+(fgraph.cycle_census); a report derives every sum it reads once per type
+(cycle_sums), and kmax applies only there.
 
 The exhaustive census walks the maps of one exact degree.  Totals over
 degree <= d for every d <= dmax are one run with a task per degree:
@@ -164,41 +162,23 @@ def _split_blocks(total: int, jobs: int) -> list[tuple[int, int]]:
     return [(total * j // jobs, total * (j + 1) // jobs) for j in range(jobs)]
 
 
-# the run a pool worker serves: (fn, every task's args), set once per worker
-_worker_run: tuple[Callable, list[tuple]] | None = None
-
-
-def _start_worker(fn: Callable, args: list[tuple]) -> None:
-    global _worker_run
-    _worker_run = (fn, args)
-
-
-def _worker_block(task: int, lo: int, hi: int):
-    fn, args = _worker_run
-    return fn(*args[task], lo, hi)
-
-
 def run_blocks(fn: Callable, tasks: Sequence[tuple[tuple, int]], jobs: int) -> list:
     """fn(*args, lo, hi) over contiguous blocks covering range(total), for
     each task (args, total).  Each task splits into at most jobs blocks,
     never more than usable CPUs; when any task splits, every block runs in
-    one pool sized by the largest split.  The pool's workers get fn and
-    every task's args once, at start-up (inherited under fork, pickled
-    once per worker otherwise); a block sends only (task, lo, hi).  One
-    result per task, in task order: that task's block results merged with
-    +, in block order."""
-    args = [a for a, _ in tasks]
-    splits = [_split_blocks(total, jobs) for _, total in tasks]
-    blocks = [(i, lo, hi) for i, split in enumerate(splits) for lo, hi in split]
-    workers = max(map(len, splits))
+    one pool sized by the largest split.  One result per task, in task
+    order: that task's block results merged with +, in block order."""
+    splits = [(args, _split_blocks(total, jobs)) for args, total in tasks]
+    blocks = [(*args, lo, hi) for args, split in splits for lo, hi in split]
+    workers = max(len(split) for _, split in splits)
 
     def per_task(results: Iterator) -> list:
-        return [reduce(operator.add, islice(results, len(split))) for split in splits]
+        return [reduce(operator.add, islice(results, len(split))) for _, split in splits]
 
     if workers <= 1:
-        return per_task(fn(*args[i], lo, hi) for i, lo, hi in blocks)
-    with ProcessPoolExecutor(max_workers=workers, initializer=_start_worker, initargs=(fn, args)) as pool:
-        futures = [pool.submit(_worker_block, *b) for b in blocks]
+        return per_task(fn(*b) for b in blocks)
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        futures = [pool.submit(fn, *b) for b in blocks]
         return per_task(f.result() for f in futures)
 
 

@@ -236,7 +236,7 @@ class TestAtMostTotalsRunOnce:
 
         monkeypatch.setattr(census, "ProcessPoolExecutor", CountedPool)
         assert cli.run([*AT_MOST_CHECKS[check][0], "--jobs", "2"]) == 0
-        assert [kwargs["max_workers"] for kwargs in pools] == [2]
+        assert pools == [{"max_workers": 2}]
 
     @pytest.mark.parametrize("check", list(AT_MOST_CHECKS))
     def test_every_slot_walked_once(self, check, monkeypatch, capsys):
