@@ -19,10 +19,10 @@ the identity; for odd p negation multiplies by handle p - 1, which is
 -1, and addition in extension fields uses a Zech-logarithm table.  The
 tables come from the smallest generator of the unit group.  Candidates
 are tested by their order, by square-and-multiply, so only the
-generator's powers are walked, once (a carry-less shift-XOR product for
-p = 2, digit lists for odd p).  Prime fields above the cap fall back to
-direct modular arithmetic; extension fields above the cap are refused
-before any modulus is searched for.
+generator's powers are walked, once (a shift-XOR step with a small
+reduction table for p = 2, digit lists for odd p).  Prime fields above
+the cap fall back to direct modular arithmetic; extension fields above
+the cap are refused before any modulus is searched for.
 """
 
 from __future__ import annotations
@@ -251,8 +251,10 @@ def _build_tables(
     g generates exactly when g^((q-1)/r) != 1 for every prime r dividing
     q - 1, a few dozen products by square-and-multiply.  Only the first
     generator's powers are walked, once, and that walk is the exp table.
-    q == 2 keeps exp == [1]: the trivial group.  Only odd-p extension
-    fields get a Zech table.
+    In characteristic 2 each step multiplies by g as a few shifts of the
+    running power, and one lookup reduces the bits past t^(n-1).  q == 2
+    keeps exp == [1]: the trivial group.  Only odd-p extension fields get
+    a Zech table.
     """
     if p == 2:
         mul = partial(_gf2_mul, modulus=undigits(modulus, 2), n=n)
@@ -263,10 +265,21 @@ def _build_tables(
     cofactors = [(q - 1) // r for r in _prime_factors(q - 1)]
     g = next((g for g in range(2, q) if all(_power(mul, g, e) != 1 for e in cofactors)), 1)
 
+    if p == 2:
+        shifts = [i for i in range(g.bit_length()) if g >> i & 1]
+        low = (1 << n) - 1
+        # reduce[h] is h * t^n: the bits a product by g carries past t^(n-1)
+        reduce = [mul(h, undigits(modulus[:n], 2)) for h in range(1 << (g.bit_length() - 1))]
     exp, x = [1], g
     while x != 1:
         exp.append(x)
-        x = mul(x, g)
+        if p == 2:
+            y = 0
+            for s in shifts:
+                y ^= x << s
+            x = (y & low) ^ reduce[y >> n]
+        else:
+            x = mul(x, g)
     exp += exp
 
     log = [_ZECH_NONE] * q
