@@ -6,10 +6,13 @@ tasks, each an index range split into contiguous blocks; each block
 turns its indices into maps and counts them in a Counter, and each
 task's blocks merge by plain addition into one result per task.
 Addition is associative and commutative, so every worker count and
-schedule yields byte-identical reports.  Census and baseline blocks
-count maps by cycle type, the sorted tuple of cycle lengths
-(fgraph.cycle_census); a report derives every sum it reads once per type
-(cycle_sums), and kmax applies only there.
+schedule yields byte-identical reports.  With more than one worker the
+parent forks a child per extra worker, runs its own share of the blocks,
+and reads each child's results back through a pipe; the results merge
+in block order whatever process computed them (run_blocks).  Census and
+baseline blocks count maps by cycle type, the sorted tuple of cycle
+lengths (fgraph.cycle_census); a report derives every sum it reads once
+per type (cycle_sums), and kmax applies only there.
 
 The exhaustive census walks the maps of one exact degree.  Totals over
 degree <= d for every d <= dmax are one run with a task per degree:
@@ -38,8 +41,9 @@ from __future__ import annotations
 import math
 import operator
 import os
+import pickle
+import signal
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import reduce
@@ -162,12 +166,59 @@ def _split_blocks(total: int, jobs: int) -> list[tuple[int, int]]:
     return [(total * j // jobs, total * (j + 1) // jobs) for j in range(jobs)]
 
 
+def _fork_share(fn: Callable, blocks: list[tuple]) -> tuple[int, int]:
+    """Fork a child that runs fn over blocks and writes one pickled
+    ("ok", results) or ("err", exception) to a pipe; (pid, read end).
+    The child leaves through os._exit, so nothing of the parent's stack,
+    atexit handlers or stdio buffers runs in it."""
+    r, w = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            try:
+                data = pickle.dumps(("ok", [fn(*b) for b in blocks]))
+            except BaseException as exc:  # raised again in the parent
+                data = pickle.dumps(("err", exc))
+            with os.fdopen(w, "wb") as pipe:
+                pipe.write(data)
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(w)  # before the next fork, or that child would hold it open
+    return pid, r
+
+
+def _join_share(pid: int, fd: int) -> list:
+    """Read a forked child's pipe to its end and reap the child; its
+    results, or its exception raised again here."""
+    try:
+        with os.fdopen(fd, "rb") as pipe:
+            data = pipe.read()
+    finally:
+        status = os.waitpid(pid, 0)[1]
+    if status or not data:
+        code = os.waitstatus_to_exitcode(status)
+        raise RuntimeError(f"worker process {pid} ended without a result (exit code {code})")
+    tag, value = pickle.loads(data)
+    if tag == "err":
+        raise value
+    return value
+
+
 def run_blocks(fn: Callable, tasks: Sequence[tuple[tuple, int]], jobs: int) -> list:
     """fn(*args, lo, hi) over contiguous blocks covering range(total), for
     each task (args, total).  Each task splits into at most jobs blocks,
-    never more than usable CPUs; when any task splits, every block runs in
-    one pool sized by the largest split.  One result per task, in task
-    order: that task's block results merged with +, in block order."""
+    never more than usable CPUs.  When any task splits, the largest split
+    sets the worker count: the parent forks one child per worker beyond
+    itself, worker w runs blocks[w::workers] (the parent is worker 0),
+    and each child's results come back through its pipe; children inherit
+    fn and its arguments, so only results are pickled.  A child's
+    exception is raised again in the parent; if the parent fails, it kills
+    and reaps every child still running.  Forking needs a caller that
+    runs no other threads, as the CLI does.  Without os.fork every block
+    runs in this process.  One result per task, in task order: that
+    task's block results merged with +, in block order."""
     splits = [(args, _split_blocks(total, jobs)) for args, total in tasks]
     blocks = [(*args, lo, hi) for args, split in splits for lo, hi in split]
     workers = max(len(split) for _, split in splits)
@@ -175,11 +226,22 @@ def run_blocks(fn: Callable, tasks: Sequence[tuple[tuple, int]], jobs: int) -> l
     def per_task(results: Iterator) -> list:
         return [reduce(operator.add, islice(results, len(split))) for _, split in splits]
 
-    if workers <= 1:
+    if workers <= 1 or not hasattr(os, "fork"):
         return per_task(fn(*b) for b in blocks)
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(fn, *b) for b in blocks]
-        return per_task(f.result() for f in futures)
+    children: list[tuple[int, int]] = []
+    try:
+        for w in range(1, workers):
+            children.append(_fork_share(fn, blocks[w::workers]))
+        results = [None] * len(blocks)
+        results[::workers] = [fn(*b) for b in blocks[::workers]]
+        for w in range(1, workers):
+            results[w::workers] = _join_share(*children.pop(0))
+    finally:
+        for pid, fd in children:
+            os.kill(pid, signal.SIGKILL)
+            os.close(fd)
+            os.waitpid(pid, 0)
+    return per_task(iter(results))
 
 
 # --- enumeration index spaces and samplers --------------------------------------

@@ -1,8 +1,9 @@
 """Exhaustive and sampled censuses against frozen enumeration values,
 closed forms, and determinism requirements."""
 
+import os
+import time
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache
@@ -195,20 +196,14 @@ class TestCycleTotals:
         assert f"needs {need} map evaluations" in str(err.value)
 
     @pytest.mark.parametrize("family", ["poly", "rational"])
-    def test_degrees_share_one_worker_pool(self, family, monkeypatch):
-        """Each degree is a task of one run: one pool for all of them, and
-        the same totals as in one process."""
+    def test_degrees_share_one_worker_pool(self, family, monkeypatch, forks):
+        """Each degree is a task of one run: one forked child for all of
+        them beside the parent, and the same totals as in one process."""
         monkeypatch.setattr(census, "usable_cpus", lambda: 2)
-        pools = []
-
-        class CountedPool(ProcessPoolExecutor):
-            def __init__(self, *args, **kwargs):
-                pools.append(kwargs)
-                super().__init__(*args, **kwargs)
-
-        monkeypatch.setattr(census, "ProcessPoolExecutor", CountedPool)
-        assert cycle_totals_at_most(F3, 2, family, jobs=2) == cycle_totals_at_most(F3, 2, family, jobs=1)
-        assert pools == [{"max_workers": 2}]
+        one_process = cycle_totals_at_most(F3, 2, family, jobs=1)
+        assert forks == []
+        assert cycle_totals_at_most(F3, 2, family, jobs=2) == one_process
+        assert len(forks) == 1
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_run_blocks_returns_one_result_per_task(self, jobs, monkeypatch):
@@ -241,6 +236,78 @@ class TestCycleTotals:
             cycle_totals_at_most(F3, 2, "poly")
         assert cli.run(["verify", "lemma-polys", "--p", "3", "--dmax", "2", "--jobs", "1"]) == 3
         assert capsys.readouterr().err.startswith("internal error: enumerated 5 maps of degree 1,")
+
+
+def _pids(lo: int, hi: int) -> Counter:
+    """A block result that counts its slots by the process that ran them."""
+    return Counter({os.getpid(): hi - lo})
+
+
+class TestForkedWorkers:
+    """run_blocks at --jobs 2: the parent runs block 0, one forked child
+    runs block 1, and only the child's results cross its pipe."""
+
+    @pytest.fixture(autouse=True)
+    def two_cpus(self, monkeypatch):
+        monkeypatch.setattr(census, "usable_cpus", lambda: 2)
+
+    def test_parent_runs_a_share(self, forks):
+        shares = census.run_blocks(_pids, [((), 10)], 2)[0]
+        assert len(forks) == 1
+        assert shares == Counter({os.getpid(): 5, forks[0]: 5})
+
+    def test_one_process_without_fork(self, monkeypatch):
+        monkeypatch.delattr(os, "fork")
+        assert census.run_blocks(_pids, [((), 10)], 2) == [Counter({os.getpid(): 10})]
+
+    @pytest.mark.parametrize("exc_type", [ValueError, AssertionError, BudgetError])
+    def test_child_exception_keeps_its_type(self, exc_type, forks):
+        def block(lo, hi):
+            if lo:
+                raise exc_type(f"raised in pid {os.getpid()}")
+            return [lo]
+
+        with pytest.raises(exc_type) as err:
+            census.run_blocks(block, [((), 2)], 2)
+        assert type(err.value) is exc_type
+        assert str(err.value) == f"raised in pid {forks[0]}"
+
+    def test_dead_child_raises_runtime_error(self, forks):
+        def block(lo, hi):
+            if lo:
+                os._exit(1)
+            return [lo]
+
+        with pytest.raises(RuntimeError, match=r"ended without a result \(exit code 1\)"):
+            census.run_blocks(block, [((), 2)], 2)
+        assert len(forks) == 1
+
+    def test_parent_failure_leaves_no_child(self, forks):
+        def block(lo, hi):
+            if lo:
+                time.sleep(60)
+            raise ValueError("the parent's share failed")
+
+        t0 = time.perf_counter()
+        with pytest.raises(ValueError, match="the parent's share failed"):
+            census.run_blocks(block, [((), 2)], 2)
+        assert time.perf_counter() - t0 < 30
+        assert len(forks) == 1
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_result_larger_than_a_pipe_buffer(self):
+        # the child's 100,000 pairs pickle to far more than a 64 KiB pipe holds
+        tasks = [(("x",), 200_000)]
+        assert census.run_blocks(_labelled_range, tasks, 2) == census.run_blocks(_labelled_range, tasks, 1)
+
+    def test_local_closure(self):
+        offset = 7
+
+        def shifted(lo, hi):
+            return [offset + i for i in range(lo, hi)]
+
+        assert census.run_blocks(shifted, [((), 6)], 2) == [list(range(7, 13))]
 
 
 class TestSampledCensus:

@@ -6,7 +6,6 @@ import json
 import os
 import subprocess
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
 import pytest
@@ -222,21 +221,19 @@ AT_MOST_CHECKS = {
 
 class TestAtMostTotalsRunOnce:
     """verify lemma-polys and cycle-bounds tally each degree 0..--dmax once,
-    in one run: one worker pool and one budget check per command."""
+    in one run: one set of workers and one budget check per command."""
 
     @pytest.mark.parametrize("check", list(AT_MOST_CHECKS))
-    def test_one_worker_pool(self, check, monkeypatch, capsys):
+    def test_one_worker_pool(self, check, monkeypatch, capsys, forks):
+        """One forked child beside the parent for the whole command, and
+        the report of one process."""
         monkeypatch.setattr(census, "usable_cpus", lambda: 2)
-        pools = []
-
-        class CountedPool(ProcessPoolExecutor):
-            def __init__(self, *args, **kwargs):
-                pools.append(kwargs)
-                super().__init__(*args, **kwargs)
-
-        monkeypatch.setattr(census, "ProcessPoolExecutor", CountedPool)
+        assert cli.run([*AT_MOST_CHECKS[check][0], "--jobs", "1"]) == 0
+        one_process = capsys.readouterr().out
+        assert forks == []
         assert cli.run([*AT_MOST_CHECKS[check][0], "--jobs", "2"]) == 0
-        assert pools == [{"max_workers": 2}]
+        assert len(forks) == 1
+        assert capsys.readouterr().out == one_process
 
     @pytest.mark.parametrize("check", list(AT_MOST_CHECKS))
     def test_every_slot_walked_once(self, check, monkeypatch, capsys):
@@ -274,6 +271,38 @@ class TestAtMostTotalsRunOnce:
         assert cli.run([*argv, "--jobs", "1", "--budget", str(need - 1)]) == 2
         err = capsys.readouterr().err
         assert f"needs {need} map evaluations, over the budget of {need - 1}" in err
+
+
+class TestWorkerFailures:
+    """An exception in a forked child's block ends the CLI as it would in
+    one process: a usage error exits 2, a broken invariant exits 3."""
+
+    @pytest.mark.parametrize("exc_type, code", [(ValueError, 2), (AssertionError, 3)])
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_exit_code(self, exc_type, code, jobs, monkeypatch, capsys, forks):
+        monkeypatch.setattr(census, "usable_cpus", lambda: 2)
+        block = census._census_block
+
+        def last_block_raises(ctx, fam, d, seed, start, stop):
+            if stop == 4:  # the child's block at --jobs 2
+                raise exc_type(f"raised in pid {os.getpid()}")
+            return block(ctx, fam, d, seed, start, stop)
+
+        monkeypatch.setattr(census, "_census_block", last_block_raises)
+        argv = ["census", "--p", "3", "--d", "2", "--samples", "4", "--jobs", jobs]
+        assert cli.run(argv) == code
+        raiser = forks[0] if jobs == "2" else os.getpid()
+        assert f"raised in pid {raiser}" in capsys.readouterr().err
+        assert len(forks) == int(jobs) - 1
+
+
+def test_import_starts_no_pool_machinery():
+    """The CLI forks its workers itself; importing it loads neither
+    concurrent.futures nor multiprocessing, which cost start-up time."""
+    code = "import sys, fqdyn.cli; print([m for m in sys.modules if m.startswith(('concurrent', 'multiprocessing'))])"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def _leaf_parsers(parser: argparse.ArgumentParser, path: tuple = ()):
