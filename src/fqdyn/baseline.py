@@ -6,18 +6,21 @@ every vertex has out-degree 1 and in-degree either 0 or m (for m = 2
 these model maps where every value has zero or two preimages).
 
 Exhaustive enumeration at tiny sizes is compared exactly against the
-closed forms; samplers give Monte Carlo estimates with standard errors
-and z-scores at sizes where enumeration is out of reach.
+closed forms: random maps are decoded from their index, and quadratic
+graphs from their index among the labellings of one image set, their
+tally weighed by the number of image sets.  Samplers give Monte Carlo
+estimates with standard errors and z-scores at sizes where enumeration
+is out of reach.
 """
 
 from __future__ import annotations
 
+import math
 import struct
 from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import combinations
-from typing import Callable, Iterator
+from typing import Callable
 
 from .census import BudgetError, Report, _check_budget, _report_fields, compare, cycle_sums, run_blocks
 from .ffield import digits
@@ -70,46 +73,27 @@ def _map_at(n: int, idx: int) -> FunctionalGraph:
     return FunctionalGraph(tuple(digits(idx, n, n)))
 
 
-def _multiset_assignments(t: int, m: int, total: int) -> Iterator[tuple[int, ...]]:
-    """All length-total sequences using each block label 0..t-1 exactly m
-    times, in lexicographic order."""
-    counts = [m] * t
-    seq: list[int] = []
+def _labelling_at(m: int, t: int, i: int) -> FunctionalGraph:
+    """The graph v -> w[v] of word number i, in lexicographic order, among
+    the (mt)!/(m!)^t words that use each label 0..t-1 exactly m times.
 
-    def rec() -> Iterator[tuple[int, ...]]:
-        if len(seq) == total:
-            yield tuple(seq)
-            return
-        for label in range(t):
-            if counts[label]:
-                counts[label] -= 1
-                seq.append(label)
-                yield from rec()
-                seq.pop()
-                counts[label] += 1
-
-    yield from rec()
-
-
-def enumerate_quadratic_graphs(m: int, t: int) -> Iterator[FunctionalGraph]:
-    """Every labeled graph on m*t vertices with out-degree 1 everywhere and
-    in-degree m on exactly t vertices (0 elsewhere), each exactly once.
-
-    Image sets run through lexicographic combinations; preimage blocks
-    through lexicographic assignments.
+    At each vertex, with W words left, n vertices left and have uses of
+    label y left, W*have/n of the words put y there.
     """
-    if m < 1 or t < 1:
-        raise ValueError("need m >= 1 and t >= 1")
-    size = m * t
-    expected = quad_graph_stats(m, t).graph_count
-    if expected > QUADRATIC_EXHAUSTIVE_MAX_GRAPHS:
-        raise BudgetError(
-            f"{expected} graphs exceed the exhaustive cap "
-            f"{QUADRATIC_EXHAUSTIVE_MAX_GRAPHS}; use sampling instead"
-        )
-    for image in combinations(range(size), t):
-        for labels in _multiset_assignments(t, m, size):
-            yield FunctionalGraph(tuple(image[lab] for lab in labels))
+    have = [m] * t
+    n = m * t
+    words = math.factorial(n) // math.factorial(m) ** t
+    succ = []
+    while n:
+        y = 0
+        while i >= (block := words * have[y] // n):
+            i -= block
+            y += 1
+        words = block
+        have[y] -= 1
+        n -= 1
+        succ.append(y)
+    return FunctionalGraph(tuple(succ))
 
 
 def _quadratic_graph(m: int, t: int, rng) -> FunctionalGraph:
@@ -169,9 +153,12 @@ def baseline_census(
     times their vertices must fit the budget.
 
     Each check is (name, stat, expected): stat names the average checked,
-    None the graph count.  An exhaustive quadratic run walks
-    enumerate_quadratic_graphs in one process, as its image sets are not
-    indexed; every other run is one task of graphs make(*args, i).
+    None the graph count.  Every run is one task of graphs make(*args, i),
+    or make(*args, rng) when sampled.  Conjugating by a vertex permutation
+    keeps the cycle type and moves any image set onto range(t), so an
+    exhaustive quadratic run decodes the labellings of image range(t) and
+    weighs their tally by the C(mt, t) image sets; its budget and cap
+    still count every graph of the family.
     """
     if mode not in ("exhaustive", "sampled"):
         raise ValueError(f"unknown baseline mode {mode!r}")
@@ -179,6 +166,7 @@ def baseline_census(
     if sampled and samples < 1:
         raise ValueError("sampled mode needs samples >= 1")
     notes: dict = {}
+    weight = 1
     if kind == "random":
         if n is None or n < 1:
             raise ValueError("random baseline needs n >= 1")
@@ -212,7 +200,7 @@ def baseline_census(
         if m is None or t is None or m < 1 or t < 1:
             raise ValueError("quadratic baseline needs m >= 1 and t >= 1")
         th_q = quad_graph_stats(m, t)
-        size, extra, make, args = m * t, {"m": m, "t": t}, _quadratic_graph if sampled else None, (m, t)
+        size, extra, make, args = m * t, {"m": m, "t": t}, _quadratic_graph if sampled else _labelling_at, (m, t)
         if sampled:
             checks = (("periodic_z", "periodic", th_q.avg_periodic),)
         else:
@@ -221,16 +209,18 @@ def baseline_census(
                 ("quadratic_periodic_exact", "periodic", th_q.avg_periodic),
             )
             count, what = th_q.graph_count, f"exhaustive quadratic baseline of {th_q.graph_count} graphs"
+            weight = math.comb(size, t)
     else:
         raise ValueError(f"unknown baseline kind {kind!r}")
     if sampled:
         count, what = samples, f"sampled {kind} baseline of {samples} graphs"
     _check_budget(count * size, budget, what, "lower the sample count" if sampled else "use sampling instead")
-    if make is None:
-        types = Counter(map(cycle_census, enumerate_quadratic_graphs(m, t)))
-    else:
-        [types] = run_blocks(_graph_block, [((make, args, seed if sampled else None), count)], jobs)
-    s = cycle_sums(types, 0)
+    if make is _labelling_at and count > QUADRATIC_EXHAUSTIVE_MAX_GRAPHS:
+        raise BudgetError(
+            f"{count} graphs exceed the exhaustive cap {QUADRATIC_EXHAUSTIVE_MAX_GRAPHS}; use sampling instead"
+        )
+    [types] = run_blocks(_graph_block, [((make, args, seed if sampled else None), count // weight)], jobs)
+    s = cycle_sums(Counter({c: k * weight for c, k in types.items()}), 0)
     rep = BaselineReport(
         kind=kind, size=size, graph_count=s.map_count, notes=notes, **extra, **_report_fields(s, mode, seed)
     )

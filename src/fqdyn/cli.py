@@ -13,7 +13,8 @@ Subcommands:
 
 Exit codes: 0 success, 1 when any theory comparison in the emitted
 report has status "fail", 2 on usage, precondition, or budget errors,
-3 on an internal error: a broken invariant, which is a bug in fqdyn.
+3 on an internal error: a broken invariant, which is a bug in fqdyn, or
+a --jobs worker that ended without a result, as a killed one does.
 
 JSON output echoes the run configuration, the evaluation budget included
 for every command that takes --budget; worker count, format, and output
@@ -442,7 +443,7 @@ def run(argv: list[str] | None = None) -> int:
     except (ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except AssertionError as exc:
+    except (AssertionError, RuntimeError) as exc:  # a broken invariant, or a worker that died
         print(f"internal error: {exc}", file=sys.stderr)
         return 3
 

@@ -42,18 +42,7 @@ _ZECH_NONE = -1
 
 def is_prime(m: int) -> bool:
     """Trial-division primality test, adequate for desk-scale p."""
-    if m < 2:
-        return False
-    if m < 4:
-        return True
-    if m % 2 == 0:
-        return False
-    f = 3
-    while f * f <= m:
-        if m % f == 0:
-            return False
-        f += 2
-    return True
+    return _prime_factors(m) == [m]
 
 
 def field_order(p: int, n: int = 1) -> int:

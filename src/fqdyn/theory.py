@@ -27,10 +27,7 @@ EULER_GAMMA = 0.57721566490153286
 
 def falling(n: int, k: int) -> int:
     """Falling factorial n(n-1)...(n-k+1); 0 when k > n."""
-    out = 1
-    for i in range(k):
-        out *= n - i
-    return out
+    return math.perm(n, k)
 
 
 def harmonic(n: int) -> Fraction:

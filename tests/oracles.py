@@ -6,24 +6,26 @@ and structures in the same encodings the library uses, but none of the
 library's arithmetic shortcuts (discrete-log tables, Zech logs, path
 marking) appear in them.
 
-The helpers at the end of the file, per_map_sums, field_pow,
-count_cycle_givers and the Moebius and conjugation block, are references
-of another kind: they use the library's types (CycleSums), field
-arithmetic (FieldCtx), polynomial helpers and canonical forms
+The helpers at the end of the file, per_map_sums,
+enumerate_quadratic_graphs, field_pow, count_cycle_givers and the Moebius
+and conjugation block, are references of another kind: they use the
+library's types (CycleSums, FunctionalGraph), field arithmetic
+(FieldCtx), polynomial helpers and canonical forms
 (canonicalize_rational), and check statements built on them, about sums,
-powers or maps, rather than the arithmetic itself.  No command or
-benchmark runs them.
+graphs, powers or maps, rather than the arithmetic itself.  No command
+or benchmark runs them.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, permutations, product
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from fqdyn.census import CycleSums
 from fqdyn.ffield import FieldCtx, FqElem
+from fqdyn.fgraph import FunctionalGraph
 from fqdyn.fmaps import (
     CONSTANT_INFINITY,
     Poly,
@@ -215,6 +217,22 @@ def per_map_sums(cycle_counts: Iterable[Mapping[int, int]], kmax: int) -> CycleS
     return CycleSums(
         n, comps, per, comps_sq, per_sq, dict(sorted(k_cycles.items())), dict(sorted(k_cycles_sq.items()))
     )
+
+
+def enumerate_quadratic_graphs(m: int, t: int) -> Iterator[FunctionalGraph]:
+    """Every labeled graph on m*t vertices with out-degree 1 everywhere and
+    in-degree m on exactly t vertices (0 elsewhere), each once.
+
+    Image sets run through lexicographic combinations; under each, the
+    words that use every label 0..t-1 exactly m times run in lexicographic
+    order, and the graph sends vertex v to image[w[v]].  The reference
+    walk for baseline._labelling_at, which decodes the words of image
+    range(t) one index at a time.
+    """
+    words = sorted(set(permutations([y for y in range(t) for _ in range(m)])))
+    for image in combinations(range(m * t), t):
+        for w in words:
+            yield FunctionalGraph(tuple(image[y] for y in w))
 
 
 def field_pow(ctx: FieldCtx, a: FqElem, e: int) -> FqElem:

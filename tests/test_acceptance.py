@@ -18,7 +18,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb
 
-from fqdyn.baseline import baseline_census, enumerate_quadratic_graphs
+from fqdyn.baseline import baseline_census
 from fqdyn.census import (
     cycle_totals_at_most,
     enumerate_S,
@@ -44,6 +44,7 @@ from fqdyn.theory import (
     rat_k_cycle_total_bounds,
     rat_periodic_lower,
 )
+from oracles import enumerate_quadratic_graphs
 
 JOBS = os.cpu_count() or 1
 

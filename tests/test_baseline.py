@@ -2,7 +2,9 @@
 sizes, structural invariants on every generated graph, sampler
 determinism and calibration."""
 
+import math
 import random
+import re
 import struct
 from collections import Counter
 from fractions import Fraction
@@ -11,18 +13,20 @@ import pytest
 
 from fqdyn import baseline
 from fqdyn.baseline import (
+    QUADRATIC_EXHAUSTIVE_MAX_GRAPHS,
     RANDOM_EXHAUSTIVE_MAX_N,
     RANDOM_SAMPLED_MAX_N,
+    _labelling_at,
     _quadratic_graph,
     _random_map,
     baseline_census,
-    enumerate_quadratic_graphs,
     sample_random_map,
 )
 from fqdyn.census import BudgetError
 from fqdyn.fgraph import cycle_census
 from fqdyn.seeding import per_index_rng
 from fqdyn.theory import quad_graph_stats, random_map_stats
+from oracles import enumerate_quadratic_graphs
 
 
 class TestRandomExhaustive:
@@ -84,15 +88,57 @@ class TestQuadraticEnumeration:
         for g in graphs:
             assert sorted(g.succ) == [0, 1, 2]
 
-    def test_cap(self):
-        # (2, 12) would stream ~10^9 graphs
-        with pytest.raises(BudgetError, match="sampling"):
-            next(iter(enumerate_quadratic_graphs(2, 12)))
+    def test_cap(self, monkeypatch):
+        # (2, 12) has about 4 * 10^26 graphs: the default budget refuses
+        # them first, and under any budget the cap refuses them before a run
+        def no_run(*args):
+            raise AssertionError("ran the census")
+
+        monkeypatch.setattr(baseline, "run_blocks", no_run)
+        with pytest.raises(BudgetError, match="over the budget of"):
+            baseline_census("quadratic", m=2, t=12)
+        count = quad_graph_stats(2, 12).graph_count
+        message = f"{count} graphs exceed the exhaustive cap {QUADRATIC_EXHAUSTIVE_MAX_GRAPHS}; use sampling instead"
+        with pytest.raises(BudgetError, match=re.escape(message)):
+            baseline_census("quadratic", m=2, t=12, budget=10**30)
 
     def test_deterministic_order(self):
         assert [g.succ for g in enumerate_quadratic_graphs(2, 2)] == [
             g.succ for g in enumerate_quadratic_graphs(2, 2)
         ]
+
+
+DECODED = [(1, 1), (1, 4), (2, 1), (2, 2), (2, 3), (3, 2), (4, 2), (1, 6)]
+
+
+class TestLabellingDecoder:
+    """An exhaustive quadratic run decodes the labellings of image range(t)
+    and weighs them by the C(mt, t) image sets; the reference walk visits
+    every image set."""
+
+    @pytest.mark.parametrize("m,t", DECODED)
+    def test_decodes_the_image_range_t_labellings_in_order(self, m, t):
+        words = math.factorial(m * t) // math.factorial(m) ** t
+        decoded = [_labelling_at(m, t, i).succ for i in range(words)]
+        walked = [g.succ for g in enumerate_quadratic_graphs(m, t) if set(g.succ) == set(range(t))]
+        assert decoded == walked
+        assert len(set(decoded)) == words
+        assert all(Counter(succ) == dict.fromkeys(range(t), m) for succ in decoded)
+
+    @pytest.mark.parametrize("m,t", DECODED)
+    def test_weighted_tally_equals_the_full_walk(self, m, t, monkeypatch):
+        tallies = []
+        sums = baseline.cycle_sums
+
+        def spy(types, kmax):
+            tallies.append(types)
+            return sums(types, kmax)
+
+        monkeypatch.setattr(baseline, "cycle_sums", spy)
+        rep = baseline_census("quadratic", m=m, t=t)
+        assert tallies == [Counter(map(cycle_census, enumerate_quadratic_graphs(m, t)))]
+        assert rep.graph_count == quad_graph_stats(m, t).graph_count
+        assert all(c.status == "pass" for c in rep.theory_comparison)
 
 
 class ScriptedWords(random.Random):

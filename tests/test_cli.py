@@ -275,7 +275,8 @@ class TestAtMostTotalsRunOnce:
 
 class TestWorkerFailures:
     """An exception in a forked child's block ends the CLI as it would in
-    one process: a usage error exits 2, a broken invariant exits 3."""
+    one process: a usage error exits 2, a broken invariant exits 3.  A
+    child that dies without a result exits 3 too."""
 
     @pytest.mark.parametrize("exc_type, code", [(ValueError, 2), (AssertionError, 3)])
     @pytest.mark.parametrize("jobs", ["1", "2"])
@@ -294,6 +295,26 @@ class TestWorkerFailures:
         raiser = forks[0] if jobs == "2" else os.getpid()
         assert f"raised in pid {raiser}" in capsys.readouterr().err
         assert len(forks) == int(jobs) - 1
+
+    def test_dead_worker_exits_3(self, monkeypatch, capsys, forks):
+        """A child that ends without a result, as a killed one does, is an
+        internal error: one line on stderr, nothing on stdout."""
+        monkeypatch.setattr(census, "usable_cpus", lambda: 2)
+        block = census._census_block
+        parent = os.getpid()
+
+        def child_dies(ctx, fam, d, seed, start, stop):
+            if os.getpid() != parent:
+                os._exit(9)
+            return block(ctx, fam, d, seed, start, stop)
+
+        monkeypatch.setattr(census, "_census_block", child_dies)
+        assert cli.run(["census", "--p", "3", "--d", "2", "--samples", "4", "--jobs", "2"]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("internal error: worker process") and "exit code 9" in err
+        assert err.count("\n") == 1
+        assert len(forks) == 1
 
 
 def test_import_starts_no_pool_machinery():
@@ -410,6 +431,18 @@ class TestBaselineCommands:
         assert len(checked) == len(names)
         if argv[1] == "quadratic" and "--samples" not in argv:
             assert checked == ["quadratic_periodic_exact", "quadratic_graph_count"]
+
+    def test_quadratic_exhaustive_splits_across_jobs(self, monkeypatch, capsys, forks):
+        """The labellings of one image set split into blocks: one forked
+        child beside the parent, and the report of one process."""
+        monkeypatch.setattr(census, "usable_cpus", lambda: 2)
+        argv = ["baseline", "quadratic", "--m", "2", "--t", "3", "--jobs"]
+        assert cli.run([*argv, "1"]) == 0
+        one_process = capsys.readouterr().out
+        assert forks == []
+        assert cli.run([*argv, "2"]) == 0
+        assert len(forks) == 1
+        assert capsys.readouterr().out == one_process
 
     def test_random_sampled(self):
         code, out, err = run_cli(
