@@ -19,18 +19,21 @@ degree <= d for every d <= dmax are one run with a task per degree:
 each degree is tallied once, and the totals are running sums of the
 per-degree tallies.
 
-No census evaluates a map point by point.  An exhaustive block decodes
-its first slot once and walks the rest as an odometer, building each
-map's successor table from running sums of value columns (see
-_column_runs); a sampled map's values come from the same columns
-(fmaps.poly_values, through build_graph).  Only rho walks, which visit a
-few points of each map, keep Horner evaluation (Family.evaluate).
+No census evaluates a map point by point.  An exhaustive polynomial
+block decodes its first slot once and walks the rest as an odometer,
+building each map's successor table from running sums of value columns
+(see _column_runs).  A rational slot is one monic denominator: the block
+decodes it alone and walks its numerators of degree d, or of degree <= d
+when the denominator has degree d, the same way under its value column.
+A sampled map's values come from the same columns (fmaps.poly_values,
+through build_graph).  Only rho walks, which visit a few points of each
+map, keep Horner evaluation (Family.evaluate).
 
 Nor does a census gcd-test raw pairs.  A rational block marks once per
 denominator the numerators that share a factor with it, the multiples
-of its monic divisors (_shared_factor_slots), and skips a slot by
+of its monic divisors (_shared_factor_slots), and skips a numerator by
 looking its index up; fmaps.enumerate_rationals, the independent
-reference, keeps a gcd per pair.
+reference, walks every raw pair and keeps a gcd per pair.
 
 All averages are exact rationals.  Floats appear only in sampled-mode
 standard errors and in diagnostics.
@@ -255,7 +258,9 @@ def _rational_raw_count(ctx: FieldCtx, d: int) -> int:
 
 
 def _rational_index_count(ctx: FieldCtx, d: int) -> int:
-    return _rational_raw_count(ctx, d) + 1  # the constant-infinity slot
+    # one slot per monic denominator of degree <= d, and at d = 0 one more
+    # for the constant-infinity map
+    return sum(ctx.q**e for e in range(d + 1)) + (d == 0)
 
 
 def _rational_map_count(ctx: FieldCtx, d: int) -> int:
@@ -346,54 +351,40 @@ def _shared_factor_slots(ctx: FieldCtx, d: int, den: Poly) -> set[int]:
 
 
 def _rational_successors(ctx: FieldCtx, d: int, lo: int, hi: int):
-    """Successor tuple of each rational map of degree d in raw-pair slots
-    [lo, hi).
+    """Successor tuple of each rational map of degree d over the monic
+    denominators in slots [lo, hi).
 
-    Slots run over monic denominators by degree e, numerators of degree
-    <= d fastest; the slot after the last pair holds the constant-infinity
-    map, of degree 0.  Slots of lower degree yield nothing, and so do the
-    numerators that share a factor with their denominator: a sieve marks
-    them once per denominator (_shared_factor_slots), and the numerator
-    walk skips a slot by looking its running index up, with no gcd per
-    pair.  Both walks reuse the polynomial columns: a denominator's value
-    column is fixed while its numerators run, a point where it vanishes
-    goes to infinity, and infinity goes where the degrees and the
-    numerator's leading coefficient send it.
+    Slot s holds the s-th monic denominator of degree <= d, by degree e
+    and then in the order of monic_poly_at; at d = 0 the slot after them
+    holds the constant-infinity map.  Each denominator is decoded alone:
+    its value column gives the divide rows, a point where it vanishes
+    going to infinity, and a sieve marks once the numerators that share a
+    factor with it (_shared_factor_slots).  Its numerators run as one
+    column walk in poly_at_most_at order, from slot q^d (x^d, the first of
+    degree d) when e < d and from slot 0 when e = d, so every pair walked
+    has degree d; the walk skips a marked numerator by looking its
+    running index up, with no gcd per pair.  Infinity goes to infinity
+    when e < d, else to the numerator's x^d coefficient.
     """
     q = inf = ctx.q
-    num_count = q ** (d + 1)
     add_row, mul_row = _op_rows(ctx, ctx.add), _op_rows(ctx, ctx.mul)
     to_inf = (inf,) * q
-    base = 0
-    for e in range(d + 1):
-        first, last = max(lo - base, 0), min(hi - base, q**e * num_count)
-        base += q**e * num_count
-        if first >= last:
-            continue
-        den_idx, num_idx = divmod(first, num_count)
-        num_start = poly_at_most_at(ctx, d, num_idx)
-        den_count = (last - 1) // num_count - den_idx + 1
-        for den_high, den_s1, den_consts in _column_runs(ctx, e, monic_poly_at(ctx, e, den_idx), den_count):
-            den_at = operator.itemgetter(*den_s1)
-            for b in den_consts:
-                den = (b, *den_high)
-                divide = tuple(mul_row(ctx.inv(v)) if v else to_inf for v in den_at(add_row(b)))
-                shared = _shared_factor_slots(ctx, d, den)
-                n = min(last - first, num_count - num_idx)
-                ni = num_idx - 1
-                for high, s1, consts in _column_runs(ctx, d, num_start, n):
-                    at = operator.itemgetter(*s1)
-                    top = max((j for j, a in enumerate(high, 1) if a), default=0)
-                    for ni, c in enumerate(consts, ni + 1):
-                        deg = top or (0 if c else -1)  # -1 for the zero numerator
-                        if max(deg, e) != d or ni in shared:
-                            continue
-                        lead = high[top - 1] if top else c
-                        image = inf if deg > e else lead if deg == e else 0
-                        yield (*map(operator.getitem, divide, at(add_row(c))), image)
-                first += n
-                num_idx, num_start = 0, ()
-    if lo <= base < hi and d == 0:
+    dens = ((e, i) for e in range(d + 1) for i in range(q**e))
+    for e, i in islice(dens, lo, hi):
+        den = monic_poly_at(ctx, e, i)
+        divide = tuple(mul_row(ctx.inv(v)) if v else to_inf for v in poly_values(ctx, den))
+        shared = _shared_factor_slots(ctx, d, den)
+        first = q**d if e < d else 0
+        ni = first
+        for high, s1, consts in _column_runs(ctx, d, poly_at_most_at(ctx, d, first), q ** (d + 1) - first):
+            at = operator.itemgetter(*s1)
+            # infinity's image by constant term: infinity when e < d, else the x^d coefficient
+            at_inf = to_inf if e < d else (high[-1],) * q if d else range(q)
+            for c in consts:
+                if ni not in shared:
+                    yield (*map(operator.getitem, divide, at(add_row(c))), at_inf[c])
+                ni += 1
+    if d == 0 and lo <= 1 < hi:
         yield (inf,) * (q + 1)
 
 
@@ -699,8 +690,10 @@ class Family:
 
     Every callable takes one exact degree d.  successors(ctx, d, lo, hi)
     yields the successor tuple of each map of degree d in slots [lo, hi)
-    of index_count(ctx, d) slots, skipping slots that hold no such map;
-    map_count(ctx, d) is the closed-form number of maps those slots hold.
+    of index_count(ctx, d) slots.  A slot holds one polynomial, or the
+    maps over one monic denominator (and at d = 0 one more slot the
+    constant-infinity map); map_count(ctx, d) is the closed-form number of
+    maps those slots hold.
     sample draws the maps of sampled and rho runs; evaluate serves rho
     walks, which visit only a few points of each map.
     """

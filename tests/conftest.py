@@ -1,8 +1,16 @@
 """Fixtures shared by the test modules."""
 
 import os
+from pathlib import Path
 
 import pytest
+
+
+def pytest_configure(config):
+    """Child processes that run python -m fqdyn find the package where
+    this one does, in src/, whether or not fqdyn is installed."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
 
 
 @pytest.fixture

@@ -13,8 +13,6 @@ import pytest
 
 from fqdyn import baseline
 from fqdyn.baseline import (
-    QUADRATIC_EXHAUSTIVE_MAX_GRAPHS,
-    RANDOM_EXHAUSTIVE_MAX_N,
     RANDOM_SAMPLED_MAX_N,
     _labelling_at,
     _quadratic_graph,
@@ -27,6 +25,14 @@ from fqdyn.fgraph import cycle_census
 from fqdyn.seeding import per_index_rng
 from fqdyn.theory import quad_graph_stats, random_map_stats
 from oracles import enumerate_quadratic_graphs
+
+
+class Ran(Exception):
+    """Raised by a patched run_blocks: the run got past every refusal."""
+
+
+def no_run(*args):
+    raise Ran
 
 
 class TestRandomExhaustive:
@@ -50,9 +56,19 @@ class TestRandomExhaustive:
         assert rep.avg_components == Fraction(195, 128)
         assert rep.avg_periodic == Fraction(71, 32)
 
-    def test_cap(self):
-        with pytest.raises(BudgetError, match="sampling"):
-            baseline_census("random", n=RANDOM_EXHAUSTIVE_MAX_N + 1)
+    def test_cap(self, monkeypatch):
+        """The budget is the only cap: n^n maps times n points, refused
+        before any block runs, and a budget of exactly that runs."""
+        assert baseline_census("random", n=4, budget=4**5).graph_count == 256
+        monkeypatch.setattr(baseline, "run_blocks", no_run)
+        message = "exhaustive random baseline of 4^4 maps needs 1024 map evaluations, over the budget of 1023;"
+        with pytest.raises(BudgetError, match=re.escape(message)):
+            baseline_census("random", n=4, budget=4**5 - 1)
+        message = "exhaustive random baseline of 9^9 maps needs 3486784401 map evaluations, over the budget of 1000000000;"
+        with pytest.raises(BudgetError, match=re.escape(message)):
+            baseline_census("random", n=9)
+        with pytest.raises(Ran):  # 8^9 evaluations fit the default budget
+            baseline_census("random", n=8)
 
     def test_jobs_independent(self):
         a = baseline_census("random", n=4, jobs=1)
@@ -89,18 +105,24 @@ class TestQuadraticEnumeration:
             assert sorted(g.succ) == [0, 1, 2]
 
     def test_cap(self, monkeypatch):
-        # (2, 12) has about 4 * 10^26 graphs: the default budget refuses
-        # them first, and under any budget the cap refuses them before a run
-        def no_run(*args):
-            raise AssertionError("ran the census")
-
+        """The budget is the only cap, counted on the labellings a run
+        decodes, (mt)!/(m!)^t, times mt points: refused before any block
+        runs, and a budget of exactly that runs."""
+        # (2, 3): 1800 graphs, 90 decoded labellings of 6 points
+        assert baseline_census("quadratic", m=2, t=3, budget=540).graph_count == 1800
         monkeypatch.setattr(baseline, "run_blocks", no_run)
-        with pytest.raises(BudgetError, match="over the budget of"):
-            baseline_census("quadratic", m=2, t=12)
-        count = quad_graph_stats(2, 12).graph_count
-        message = f"{count} graphs exceed the exhaustive cap {QUADRATIC_EXHAUSTIVE_MAX_GRAPHS}; use sampling instead"
+        message = (
+            "exhaustive quadratic baseline of 1800 graphs (90 decoded) needs 540 map evaluations, "
+            "over the budget of 539;"
+        )
         with pytest.raises(BudgetError, match=re.escape(message)):
-            baseline_census("quadratic", m=2, t=12, budget=10**30)
+            baseline_census("quadratic", m=2, t=3, budget=539)
+        # (2, 5): 113,400 decoded labellings of 28,576,800 graphs fit the
+        # default budget; (2, 12) does not
+        with pytest.raises(Ran):
+            baseline_census("quadratic", m=2, t=5)
+        with pytest.raises(BudgetError, match="over the budget of 1000000000;"):
+            baseline_census("quadratic", m=2, t=12)
 
     def test_deterministic_order(self):
         assert [g.succ for g in enumerate_quadratic_graphs(2, 2)] == [
@@ -276,7 +298,7 @@ class TestBaselineCensus:
         [
             {"kind": "random", "n": 5},  # 5^5 maps of 5 points
             {"kind": "random", "n": 1000, "mode": "sampled", "samples": 50},
-            {"kind": "quadratic", "m": 2, "t": 2},  # 36 graphs of 4 points
+            {"kind": "quadratic", "m": 2, "t": 2},  # 6 decoded labellings of 4 points
             {"kind": "quadratic", "m": 2, "t": 3, "mode": "sampled", "samples": 2},
         ],
     )
@@ -286,7 +308,7 @@ class TestBaselineCensus:
 
     def test_budget_counts_graphs_times_points(self):
         assert baseline_census("random", n=5, mode="sampled", samples=2, budget=10).graph_count == 2
-        assert baseline_census("quadratic", m=2, t=2, budget=144).graph_count == 36
+        assert baseline_census("quadratic", m=2, t=2, budget=24).graph_count == 36  # 6 decoded of 4 points
 
     def test_bad_args(self):
         with pytest.raises(ValueError):
