@@ -163,7 +163,6 @@ def baseline_census(
     sampled = mode == "sampled"
     if sampled and samples < 1:
         raise ValueError("sampled mode needs samples >= 1")
-    notes: dict = {}
     weight = 1
     if kind == "random":
         if n is None or n < 1:
@@ -171,29 +170,25 @@ def baseline_census(
         size, extra, make, args = n, {}, _random_map if sampled else _map_at, (n,)
         if sampled and n > RANDOM_SAMPLED_MAX_N:
             raise ValueError(f"sampled random baseline needs n <= {RANDOM_SAMPLED_MAX_N}")
-        if sampled and n > RANDOM_EXACT_THEORY_MAX_N:
-            # the exact sums involve integers with about n log10(n) digits, so
-            # past a few thousand points compare against the asymptotics
-            checks = (
-                ("components_z_asymptotic", "components", Fraction(random_components_asymptotic(n))),
-                ("periodic_z_asymptotic", "periodic", Fraction(random_periodic_asymptotic(n))),
-            )
-        elif sampled:
-            th = random_map_stats(n)
-            checks = (("components_z", "components", th.components_exact), ("periodic_z", "periodic", th.periodic_exact))
-        else:
-            th = random_map_stats(n)
-            checks = (
-                ("random_components_exact", "components", th.components_exact),
-                ("random_periodic_exact", "periodic", th.periodic_exact),
-            )
-            notes["asymptotics"] = {"components": th.components_asymptotic, "periodic": th.periodic_asymptotic}
+        if not sampled:
             count, what = n**n, f"exhaustive random baseline of {n}^{n} maps"
     elif kind == "quadratic":
         if m is None or t is None or m < 1 or t < 1:
             raise ValueError("quadratic baseline needs m >= 1 and t >= 1")
-        th_q = quad_graph_stats(m, t)
         size, extra, make, args = m * t, {"m": m, "t": t}, _quadratic_graph if sampled else _labelling_at, (m, t)
+        if not sampled:
+            # C(mt, t) image sets, each with the (mt)!/(m!)^t labellings of image range(t)
+            weight, count = math.comb(size, t), math.factorial(size) // math.factorial(m) ** t
+            what = f"exhaustive quadratic baseline of {weight * count} graphs ({count} decoded)"
+    else:
+        raise ValueError(f"unknown baseline kind {kind!r}")
+    if sampled:
+        count, what = samples, f"sampled {kind} baseline of {samples} graphs"
+    # before any closed form: the exact ones take seconds past a few thousand points
+    _check_budget(count * size, budget, what, "lower the sample count" if sampled else "use sampling instead")
+    notes: dict = {}
+    if kind == "quadratic":
+        th_q = quad_graph_stats(m, t)
         if sampled:
             checks = (("periodic_z", "periodic", th_q.avg_periodic),)
         else:
@@ -201,14 +196,23 @@ def baseline_census(
                 ("quadratic_graph_count", None, Fraction(th_q.graph_count)),
                 ("quadratic_periodic_exact", "periodic", th_q.avg_periodic),
             )
-            weight = math.comb(size, t)
-            count = th_q.graph_count // weight
-            what = f"exhaustive quadratic baseline of {th_q.graph_count} graphs ({count} decoded)"
+    elif sampled and n > RANDOM_EXACT_THEORY_MAX_N:
+        # the exact sums involve integers with about n log10(n) digits, so
+        # past a few thousand points compare against the asymptotics
+        checks = (
+            ("components_z_asymptotic", "components", Fraction(random_components_asymptotic(n))),
+            ("periodic_z_asymptotic", "periodic", Fraction(random_periodic_asymptotic(n))),
+        )
+    elif sampled:
+        th = random_map_stats(n)
+        checks = (("components_z", "components", th.components_exact), ("periodic_z", "periodic", th.periodic_exact))
     else:
-        raise ValueError(f"unknown baseline kind {kind!r}")
-    if sampled:
-        count, what = samples, f"sampled {kind} baseline of {samples} graphs"
-    _check_budget(count * size, budget, what, "lower the sample count" if sampled else "use sampling instead")
+        th = random_map_stats(n)
+        checks = (
+            ("random_components_exact", "components", th.components_exact),
+            ("random_periodic_exact", "periodic", th.periodic_exact),
+        )
+        notes["asymptotics"] = {"components": th.components_asymptotic, "periodic": th.periodic_asymptotic}
     [types] = run_blocks(_graph_block, [((make, args, seed if sampled else None), count)], jobs)
     s = cycle_sums(Counter({c: k * weight for c, k in types.items()}), 0)
     rep = BaselineReport(

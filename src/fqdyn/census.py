@@ -58,6 +58,8 @@ from .fgraph import FunctionalGraph, brent_rho, build_graph, cycle_census
 from .fmaps import (
     Poly,
     RationalMap,
+    _is_irreducible_poly,
+    _monic_divisors,
     canonicalize_rational,
     eval_poly,
     eval_rational,
@@ -319,16 +321,6 @@ def _poly_successors(ctx: FieldCtx, d: int, lo: int, hi: int):
         at = operator.itemgetter(*s1)
         for c in consts:
             yield at(add_row(c))
-
-
-def _monic_divisors(ctx: FieldCtx, f: Poly, degrees: range) -> Iterator[Poly]:
-    """The monic divisors of f whose degree is in degrees, found by trial
-    division in the order of monic_poly_at."""
-    for k in degrees:
-        for i in range(ctx.q**k):
-            g = monic_poly_at(ctx, k, i)
-            if not poly_divmod(ctx, f, g)[1]:
-                yield g
 
 
 def _shared_factor_slots(ctx: FieldCtx, d: int, den: Poly) -> set[int]:
@@ -896,11 +888,6 @@ def cycle_totals_at_most(
 
 
 # --- brute-force oracles for the closed-form counting arguments -----------------
-
-
-def _is_irreducible_poly(ctx: FieldCtx, f: Poly) -> bool:
-    """No monic divisor of degree 1..deg(f)//2."""
-    return next(_monic_divisors(ctx, f, range(1, (len(f) - 1) // 2 + 1)), None) is None
 
 
 def enumerate_S(

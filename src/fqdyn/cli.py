@@ -430,6 +430,8 @@ def _write_report(path: Path, text: str) -> None:
 
 
 def run(argv: list[str] | None = None) -> int:
+    if hasattr(sys, "set_int_max_str_digits"):  # exact counts and budget figures can pass 4,300 digits
+        sys.set_int_max_str_digits(0)
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -17,12 +17,11 @@ fields up to TABLE_CAP elements.  In characteristic 2 a handle is
 a GF(2) bit vector, so addition and subtraction are XOR and negation is
 the identity; for odd p negation multiplies by handle p - 1, which is
 -1, and addition in extension fields uses a Zech-logarithm table.  The
-tables come from the smallest generator of the unit group.  Candidates
-are tested by their order, by square-and-multiply, so only the
-generator's powers are walked, once (a shift-XOR step with a small
-reduction table for p = 2, digit lists for odd p).  Prime fields above
-the cap fall back to direct modular arithmetic; extension fields above
-the cap are refused before any modulus is searched for.
+tables walk the powers of the smallest generator of the unit group
+(_build_tables).  The modulus search and the odd-p walk run fmaps'
+polynomial arithmetic over GF(p).  Prime fields above the cap fall back
+to direct modular arithmetic; extension fields above the cap are
+refused before any modulus is searched for.
 """
 
 from __future__ import annotations
@@ -133,39 +132,6 @@ def undigits(ds: Sequence[int], base: int) -> int:
     return out
 
 
-# Digit-vector arithmetic over GF(p), used for construction and as the
-# reference path the tables are built from.
-
-
-def _gfp_poly_mod(a: list[int], b: list[int], p: int) -> list[int]:
-    """Remainder of a by monic b, coefficients mod p, dense lists."""
-    a = [c % p for c in a]
-    db = len(b) - 1
-    while len(a) > db:
-        lead = a[-1]
-        if lead:
-            off = len(a) - 1 - db
-            for i in range(db):
-                a[off + i] = (a[off + i] - lead * b[i]) % p
-        a.pop()
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _slow_mul(a: int, b: int, modulus: tuple[int, ...], p: int, n: int) -> int:
-    da = digits(a, p, n)
-    db = digits(b, p, n)
-    prod = [0] * (2 * n - 1)
-    for i, ca in enumerate(da):
-        if ca:
-            for j, cb in enumerate(db):
-                prod[i + j] = (prod[i + j] + ca * cb) % p
-    rem = _gfp_poly_mod(prod, list(modulus), p)
-    rem += [0] * (n - len(rem))
-    return undigits(rem, p)
-
-
 def _gf2_mul(a: int, b: int, modulus: int, n: int) -> int:
     """Carry-less product a * b in GF(2^n), handles as bit vectors.
 
@@ -183,29 +149,21 @@ def _gf2_mul(a: int, b: int, modulus: int, n: int) -> int:
     return out
 
 
-def _is_irreducible_gfp(poly: list[int], p: int) -> bool:
-    """Trial division by every monic polynomial of degree 1..deg//2."""
-    deg = len(poly) - 1
-    for m in range(1, deg // 2 + 1):
-        for low in product(range(p), repeat=m):
-            divisor = list(low) + [1]
-            if not _gfp_poly_mod(list(poly), divisor, p):
-                return False
-    return True
-
-
 def _default_modulus(p: int, n: int) -> tuple[int, ...]:
     """Lexicographically smallest monic irreducible of degree n over GF(p).
 
     Candidates are compared by their coefficient tuple (c_0, ..., c_{n-1}),
     least-significant first.  Above degree 1 a candidate with c_0 = 0 is
-    divisible by t, so the search starts at c_0 = 1.
+    divisible by t, so the search starts at c_0 = 1.  Irreducibility is
+    fmaps' trial division over GF(p) without tables, whose add, mul and
+    inv are plain mod-p arithmetic.
     """
-    for low in product(range(1 if n > 1 else 0, p), *[range(p)] * (n - 1)):
-        cand = list(low) + [1]
-        if _is_irreducible_gfp(cand, p):
-            return tuple(cand)
-    raise AssertionError("no irreducible polynomial found; unreachable for prime p")
+    # fmaps imports FieldCtx from this module, so it is imported at call time
+    from .fmaps import _is_irreducible_poly
+
+    gfp = FieldCtx(p, 1, p, (0, 1), None, None, None)
+    candidates = ((*low, 1) for low in product(range(1 if n > 1 else 0, p), *[range(p)] * (n - 1)))
+    return next(f for f in candidates if _is_irreducible_poly(gfp, f))
 
 
 def _prime_factors(m: int) -> list[int]:
@@ -241,7 +199,9 @@ def _build_tables(
     q - 1, a few dozen products by square-and-multiply.  Only the first
     generator's powers are walked, once, and that walk is the exp table.
     In characteristic 2 each step multiplies by g as a few shifts of the
-    running power, and one lookup reduces the bits past t^(n-1).  q == 2
+    running power, and one lookup reduces the bits past t^(n-1); odd-p
+    extension fields multiply the handles' digit vectors with fmaps'
+    poly_mul and reduce them with poly_divmod over GF(p).  q == 2
     keeps exp == [1]: the trivial group.  Only odd-p extension fields get
     a Zech table.
     """
@@ -250,7 +210,10 @@ def _build_tables(
     elif n == 1:
         mul = lambda a, b: a * b % p
     else:
-        mul = partial(_slow_mul, modulus=modulus, p=p, n=n)
+        from .fmaps import poly_divmod, poly_mul  # at call time, as in _default_modulus
+
+        gfp = FieldCtx(p, 1, p, (0, 1), None, None, None)
+        mul = lambda a, b: undigits(poly_divmod(gfp, poly_mul(gfp, digits(a, p, n), digits(b, p, n)), modulus)[1], p)
     cofactors = [(q - 1) // r for r in _prime_factors(q - 1)]
     g = next((g for g in range(2, q) if all(_power(mul, g, e) != 1 for e in cofactors)), 1)
 
@@ -297,8 +260,5 @@ def make_field(p: int, n: int = 1) -> FieldCtx:
         )
 
     mod = _default_modulus(p, n)
-    if q > TABLE_CAP:
-        return FieldCtx(p, n, q, mod, None, None, None)
-
-    exp, log, zech = _build_tables(p, n, q, mod)
-    return FieldCtx(p, n, q, mod, exp, log, zech)
+    tables = _build_tables(p, n, q, mod) if q <= TABLE_CAP else (None, None, None)
+    return FieldCtx(p, n, q, mod, *tables)

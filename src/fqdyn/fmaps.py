@@ -121,8 +121,9 @@ def poly_divmod(ctx: FieldCtx, f: Poly, g: Poly) -> tuple[Poly, Poly]:
         coef = ctx.mul(rem[shift + dg], lead_inv)
         if coef:
             quo[shift] = coef
-            for i in range(dg + 1):
-                rem[shift + i] = ctx.sub(rem[shift + i], ctx.mul(coef, g[i]))
+            for i, b in enumerate(g):
+                if b:
+                    rem[shift + i] = ctx.sub(rem[shift + i], ctx.mul(coef, b))
     return normalize_poly(quo), normalize_poly(rem[:dg])
 
 
@@ -236,6 +237,21 @@ def enumerate_polys(ctx: FieldCtx, d: int, mode: EnumMode = "exactly") -> Iterat
 def monic_poly_at(ctx: FieldCtx, e: int, idx: int) -> Poly:
     """Monic polynomial of degree e with lower coefficients decoded from idx."""
     return (*digits(idx, ctx.q, e), 1)
+
+
+def _monic_divisors(ctx: FieldCtx, f: Poly, degrees: range) -> Iterator[Poly]:
+    """The monic divisors of f whose degree is in degrees, found by trial
+    division in the order of monic_poly_at."""
+    for k in degrees:
+        for i in range(ctx.q**k):
+            g = monic_poly_at(ctx, k, i)
+            if not poly_divmod(ctx, f, g)[1]:
+                yield g
+
+
+def _is_irreducible_poly(ctx: FieldCtx, f: Poly) -> bool:
+    """No monic divisor of degree 1..deg(f)//2."""
+    return next(_monic_divisors(ctx, f, range(1, (len(f) - 1) // 2 + 1)), None) is None
 
 
 def enumerate_rationals(ctx: FieldCtx, d: int, mode: EnumMode = "exactly") -> Iterator[RationalMap]:

@@ -306,6 +306,19 @@ class TestBaselineCensus:
         with pytest.raises(BudgetError, match="over the budget of 10"):
             baseline_census(**kwargs, budget=10)
 
+    @pytest.mark.parametrize("kwargs", [{"kind": "random", "n": 9}, {"kind": "quadratic", "m": 2, "t": 12}])
+    def test_budget_checked_before_any_closed_form(self, kwargs, monkeypatch):
+        """An exhaustive run over the budget is refused without a closed
+        form, which past a few thousand points takes seconds."""
+
+        def fail(*args):
+            raise AssertionError("closed form computed before the budget check")
+
+        monkeypatch.setattr(baseline, "random_map_stats", fail)
+        monkeypatch.setattr(baseline, "quad_graph_stats", fail)
+        with pytest.raises(BudgetError, match="over the budget of 1000000000;"):
+            baseline_census(**kwargs)
+
     def test_budget_counts_graphs_times_points(self):
         assert baseline_census("random", n=5, mode="sampled", samples=2, budget=10).graph_count == 2
         assert baseline_census("quadratic", m=2, t=2, budget=24).graph_count == 36  # 6 decoded of 4 points

@@ -317,6 +317,40 @@ class TestWorkerFailures:
         assert len(forks) == 1
 
 
+class TestExactIntegersOfAnySize:
+    """Exact counts and budget figures past Python's 4,300-digit
+    int-to-str limit still reach the output."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("baseline", "random", "--size", "2000", "--samples", "5"),
+            ("theory", "--p", "65521", "--d", "500", "--kmax", "1"),
+        ],
+    )
+    def test_report(self, argv):
+        code, out, err = run_cli(*argv)
+        assert code == 0, err
+        assert out.endswith("}\n")
+
+    def test_budget_refusal(self):
+        # 65536^1000 (q - 1) polynomials times 65536 points: 4,827 digits
+        code, out, err = run_cli("census", "--p", "2", "--n", "16", "--d", "1000")
+        assert code == 2 and out == ""
+        assert "over the budget" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("module", ["fqdyn.ffield", "fqdyn.fmaps", "fqdyn.census", "fqdyn.cli"])
+def test_any_module_imports_first(module):
+    """ffield imports fmaps' polynomial helpers at call time, since fmaps
+    imports FieldCtx from ffield; a field builds whichever module a fresh
+    interpreter imports first."""
+    code = f"import {module}; from fqdyn.ffield import make_field; print(make_field(3, 2).modulus)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "(1, 0, 1)\n"
+
+
 def test_import_starts_no_pool_machinery():
     """The CLI forks its workers itself; importing it loads neither
     concurrent.futures nor multiprocessing, which cost start-up time."""

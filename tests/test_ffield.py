@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fqdyn import ffield
+from fqdyn import ffield, fmaps
 from fqdyn.ffield import TABLE_CAP, FieldCtx, field_order, is_prime, make_field
 
 from oracles import field_pow, oracle_add, oracle_mul, plain_default_modulus
@@ -157,7 +157,8 @@ def test_above_cap_extension_refused_before_modulus_search(monkeypatch):
         raise AssertionError("modulus searched for or verified")
 
     monkeypatch.setattr(ffield, "_default_modulus", fail)
-    monkeypatch.setattr(ffield, "_is_irreducible_gfp", fail)
+    monkeypatch.setattr(fmaps, "_is_irreducible_poly", fail)
+    monkeypatch.setattr(fmaps, "_monic_divisors", fail)
     for p, n in [(2, 24), (3, 16), (2, 20)]:
         with pytest.raises(ValueError, match="exceeds the table cap"):
             make_field(p, n)
@@ -255,7 +256,7 @@ def _digest(table: tuple[int, ...]) -> str:
     ],
 )
 def test_tables_above_the_sweep_are_pinned(n, modulus_bits, g, exp_digest, log_digest):
-    # digests of the tables the digit walk (_slow_mul) builds; the shift-XOR walk must match them
+    # digests of the tables a walk by the field's full multiply builds; the shift-XOR walk must match them
     f = _gf2(n)
     assert f.modulus == tuple(int(i in modulus_bits) for i in range(n + 1))
     assert f.exp_table[1] == g
@@ -282,7 +283,8 @@ def test_odd_p_tables_above_the_sweep_are_pinned(p, n, modulus, g, digests):
 @pytest.mark.parametrize("p, n", [(3, 8), (2, 14)])
 def test_no_non_generator_is_walked(p, n, monkeypatch):
     """Candidates are rejected by their order; only the generator's powers
-    are walked, so the products stay near q - 1."""
+    are walked, so the products stay near q - 1.  An odd-p product is one
+    fmaps.poly_mul, which the modulus search does not call."""
     calls = []
 
     def counted(mul):
@@ -292,8 +294,8 @@ def test_no_non_generator_is_walked(p, n, monkeypatch):
 
         return wrapper
 
-    for name in ("_slow_mul", "_gf2_mul"):
-        monkeypatch.setattr(ffield, name, counted(getattr(ffield, name)))
+    for module, name in ((fmaps, "poly_mul"), (ffield, "_gf2_mul")):
+        monkeypatch.setattr(module, name, counted(getattr(module, name)))
     q = make_field(p, n).q
     assert len(calls) < q - 1 + 200
 
