@@ -22,7 +22,8 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable
 
-from .census import Report, _check_budget, _report_fields, compare, cycle_sums, run_blocks
+from .census import Report, _check_budget, _count_text, _per_index_block, _report_fields, compare, cycle_sums
+from .census import run_blocks
 from .ffield import digits
 from .fgraph import FunctionalGraph, cycle_census
 from .seeding import per_index_rng
@@ -123,12 +124,9 @@ class BaselineReport(Report):
         return out
 
 
-def _graph_block(make: Callable, args: tuple, seed: int | None, start: int, stop: int) -> Counter:
-    """Tally by cycle type the graphs make(*args, i) for the indices i in
-    [start, stop), or, with a seed, make(*args, rng) on each index's own
-    random stream."""
-    graphs = (make(*args, i if seed is None else per_index_rng(seed, i)) for i in range(start, stop))
-    return Counter(map(cycle_census, graphs))
+def _cycle_type(make: Callable, *args) -> tuple[int, ...]:
+    """The cycle type of the graph make(*args)."""
+    return cycle_census(make(*args))
 
 
 def baseline_census(
@@ -137,37 +135,36 @@ def baseline_census(
     n: int | None = None,
     m: int | None = None,
     t: int | None = None,
-    mode: str = "exhaustive",
-    samples: int = 0,
+    samples: int | None = None,
     seed: int = 0,
     jobs: int = 1,
     budget: int | None = None,
 ) -> BaselineReport:
     """Aggregate cycle statistics over one baseline family.
 
-    kind "random" takes n; kind "quadratic" takes m and t.  Exhaustive
-    mode checks exact equality with the closed forms; sampled mode
-    attaches five-sigma z-score checks instead.  Either way the graphs a
-    run decodes or draws, times their vertices, must fit the budget, the
-    only limit on its size.
+    kind "random" takes n; kind "quadratic" takes m and t.  The sample
+    count is the only switch: samples=None decodes every graph of the
+    family and checks exact equality with the closed forms; a count of at
+    least 1 draws that many graphs and attaches five-sigma z-score checks
+    instead.  Either way the graphs a run decodes or draws, times their
+    vertices, must fit the budget, the only limit on its size.
 
     Each check is (name, stat, expected): stat names the average checked,
     None the graph count.  Every run is one task of graphs make(*args, i),
-    or make(*args, rng) when sampled.  Conjugating by a vertex permutation
-    keeps the cycle type and moves any image set onto range(t), so an
-    exhaustive quadratic run decodes the labellings of image range(t) and
-    weighs their tally by the C(mt, t) image sets.
+    or make(*args, rng) when sampled, tallied in census._per_index_block.
+    Conjugating by a vertex permutation keeps the cycle type and moves any
+    image set onto range(t), so an exhaustive quadratic run decodes the
+    labellings of image range(t) and weighs their tally by the C(mt, t)
+    image sets.
     """
-    if mode not in ("exhaustive", "sampled"):
-        raise ValueError(f"unknown baseline mode {mode!r}")
-    sampled = mode == "sampled"
+    sampled = samples is not None
     if sampled and samples < 1:
-        raise ValueError("sampled mode needs samples >= 1")
-    weight = 1
+        raise ValueError("samples must be >= 1")
+    weight, count, what = 1, samples, f"sampled {kind} baseline of {samples} graphs"
     if kind == "random":
         if n is None or n < 1:
             raise ValueError("random baseline needs n >= 1")
-        size, extra, make, args = n, {}, _random_map if sampled else _map_at, (n,)
+        size, extra, args = n, {}, (_random_map if sampled else _map_at, n)
         if sampled and n > RANDOM_SAMPLED_MAX_N:
             raise ValueError(f"sampled random baseline needs n <= {RANDOM_SAMPLED_MAX_N}")
         if not sampled:
@@ -175,15 +172,14 @@ def baseline_census(
     elif kind == "quadratic":
         if m is None or t is None or m < 1 or t < 1:
             raise ValueError("quadratic baseline needs m >= 1 and t >= 1")
-        size, extra, make, args = m * t, {"m": m, "t": t}, _quadratic_graph if sampled else _labelling_at, (m, t)
+        size, extra, args = m * t, {"m": m, "t": t}, (_quadratic_graph if sampled else _labelling_at, m, t)
         if not sampled:
             # C(mt, t) image sets, each with the (mt)!/(m!)^t labellings of image range(t)
             weight, count = math.comb(size, t), math.factorial(size) // math.factorial(m) ** t
-            what = f"exhaustive quadratic baseline of {weight * count} graphs ({count} decoded)"
+            graphs, decoded = _count_text(weight * count), _count_text(count)
+            what = f"exhaustive quadratic baseline of {graphs} graphs ({decoded} decoded)"
     else:
         raise ValueError(f"unknown baseline kind {kind!r}")
-    if sampled:
-        count, what = samples, f"sampled {kind} baseline of {samples} graphs"
     # before any closed form: the exact ones take seconds past a few thousand points
     _check_budget(count * size, budget, what, "lower the sample count" if sampled else "use sampling instead")
     notes: dict = {}
@@ -213,8 +209,9 @@ def baseline_census(
             ("random_periodic_exact", "periodic", th.periodic_exact),
         )
         notes["asymptotics"] = {"components": th.components_asymptotic, "periodic": th.periodic_asymptotic}
-    [types] = run_blocks(_graph_block, [((make, args, seed if sampled else None), count)], jobs)
+    [types] = run_blocks(_per_index_block, [((_cycle_type, args, seed if sampled else None), count)], jobs)
     s = cycle_sums(Counter({c: k * weight for c, k in types.items()}), 0)
+    mode = "sampled" if sampled else "exhaustive"
     rep = BaselineReport(
         kind=kind, size=size, graph_count=s.map_count, notes=notes, **extra, **_report_fields(s, mode, seed)
     )

@@ -2,9 +2,11 @@
 closed-form values attached as pass/fail comparisons.
 
 Every run, census, baseline or rho, is one pipeline: a run is a list of
-tasks, each an index range split into contiguous blocks; each block
-turns its indices into maps and counts them in a Counter, and each
-task's blocks merge by plain addition into one result per task.
+tasks, each an index range split into contiguous blocks, and each
+task's blocks merge by plain addition into one result per task.  A
+block counts in a Counter: the exhaustive census walks slots of maps
+(_census_block), and every other run tallies one value per index i,
+made from i or drawn from i's own random stream (_per_index_block).
 Addition is associative and commutative, so every worker count and
 schedule yields byte-identical reports.  With more than one worker the
 parent forks a child per extra worker, runs its own share of the blocks,
@@ -25,7 +27,7 @@ building each map's successor table from running sums of value columns
 (see _column_runs).  A rational slot is one monic denominator: the block
 decodes it alone and walks its numerators of degree d, or of degree <= d
 when the denominator has degree d, the same way under its value column.
-A sampled map's values come from the same columns (fmaps.poly_values,
+A drawn map's values come from the same columns (fmaps.poly_values,
 through build_graph).  Only rho walks, which visit a few points of each
 map, keep Horner evaluation (Family.evaluate).
 
@@ -48,6 +50,7 @@ import pickle
 import signal
 from collections import Counter
 from dataclasses import dataclass, field, replace
+from decimal import Decimal
 from fractions import Fraction
 from functools import reduce
 from itertools import islice
@@ -79,7 +82,7 @@ from . import theory
 
 DEFAULT_BUDGET = 10**9
 BUDGET_ENV_VAR = "FQDYN_BUDGET"
-_CENSUS_ADVICE = "use the sampled mode (sampled_census) instead"
+_CENSUS_ADVICE = "use the sampled mode instead"
 
 
 class BudgetError(ValueError):
@@ -101,13 +104,20 @@ def resolve_budget(budget: int | None) -> int:
     return limit
 
 
+def _count_text(n: int) -> str:
+    """n in full below 10^30, else rounded to four digits ("~1.296e4826"),
+    so that a refusal stays one short line."""
+    return str(n) if n < 10**30 else f"~{Decimal(n):.3e}".replace("e+", "e")
+
+
 def _check_budget(evaluations: int, budget: int | None, what: str, advice: str) -> None:
     """Refuse evaluations over the budget, naming the source the limit came from."""
     limit = resolve_budget(budget)
     if evaluations > limit:
         source = "--budget" if budget is not None else f"--budget or the {BUDGET_ENV_VAR} environment variable"
         raise BudgetError(
-            f"{what} needs {evaluations} map evaluations, over the budget of {limit}; {advice}, or raise {source}"
+            f"{what} needs {_count_text(evaluations)} map evaluations, over the budget of {_count_text(limit)}; "
+            f"{advice}, or raise {source}"
         )
 
 
@@ -247,6 +257,13 @@ def run_blocks(fn: Callable, tasks: Sequence[tuple[tuple, int]], jobs: int) -> l
             os.close(fd)
             os.waitpid(pid, 0)
     return per_task(iter(results))
+
+
+def _per_index_block(fn: Callable, args: tuple, seed: int | None, lo: int, hi: int) -> Counter:
+    """Tally fn(*args, x) for the indices i in [lo, hi): x is i itself, or,
+    with a seed, i's own random stream per_index_rng(seed, i), so a drawn
+    run draws the same maps however its range is split."""
+    return Counter(fn(*args, i if seed is None else per_index_rng(seed, i)) for i in range(lo, hi))
 
 
 # --- enumeration index spaces and samplers --------------------------------------
@@ -735,15 +752,15 @@ def _family(name: str) -> Family:
 # --- the census pipeline -----------------------------------------------------------
 
 
-def _census_block(ctx: FieldCtx, family: Family, d: int, seed: int | None, start: int, stop: int) -> Counter:
+def _census_block(ctx: FieldCtx, family: Family, d: int, start: int, stop: int) -> Counter:
     """Tally by cycle type the maps of degree d in slots [start, stop) of
-    the enumeration, or, with a seed, the maps drawn from each index's own
-    random stream."""
-    if seed is None:
-        graphs = map(FunctionalGraph, family.successors(ctx, d, start, stop))
-    else:
-        graphs = (build_graph(ctx, family.sample(ctx, d, per_index_rng(seed, i))) for i in range(start, stop))
-    return Counter(map(cycle_census, graphs))
+    the enumeration, walked by family.successors."""
+    return Counter(map(cycle_census, map(FunctionalGraph, family.successors(ctx, d, start, stop))))
+
+
+def _drawn_type(ctx: FieldCtx, family: Family, d: int, rng) -> tuple[int, ...]:
+    """The cycle type of the map of degree d that family.sample draws from rng."""
+    return cycle_census(build_graph(ctx, family.sample(ctx, d, rng)))
 
 
 def _exhaustive_tally(
@@ -756,7 +773,7 @@ def _exhaustive_tally(
     counts = [family.map_count(ctx, d) for d in degrees]
     what = f"{family.name} {what} q={ctx.q} d={degrees[-1]}"
     _check_budget(sum(counts) * family.vertices(ctx), budget, what, advice)
-    tasks = [((ctx, family, d, None), family.index_count(ctx, d)) for d in degrees]
+    tasks = [((ctx, family, d), family.index_count(ctx, d)) for d in degrees]
     tallies = run_blocks(_census_block, tasks, jobs)
     for d, count, types in zip(degrees, counts, tallies):
         if types.total() != count:
@@ -784,12 +801,13 @@ def _build_report(
     ctx: FieldCtx,
     family: Family,
     d: int,
-    kmax: int,
+    kmax: int | None,
     types: Counter,
     mode: str,
     seed: int | None = None,
     full_support: bool = False,
 ) -> CensusReport:
+    kmax = family.vertices(ctx) if kmax is None else kmax
     s = cycle_sums(types, kmax)
     n = s.map_count
     notes: dict = {"d0_convention": _D0_NOTE} if d == 0 else {}
@@ -818,7 +836,6 @@ def _build_report(
 def _exhaustive_census(
     ctx: FieldCtx, family: Family, d: int, kmax: int | None, jobs: int, budget: int | None
 ) -> CensusReport:
-    kmax = family.vertices(ctx) if kmax is None else kmax
     [types] = _exhaustive_tally(ctx, family, range(d, d + 1), jobs, budget, "census", _CENSUS_ADVICE)
     return _build_report(ctx, family, d, kmax, types, "exhaustive")
 
@@ -841,34 +858,33 @@ def sampled_census(
     ctx: FieldCtx,
     d: int,
     family: str,
-    samples: int,
+    samples: int | None,
     seed: int,
     kmax: int | None = None,
     jobs: int = 1,
-    full_support: bool = False,
     budget: int | None = None,
 ) -> CensusReport:
     """Monte Carlo companion of the exact census; deterministic in
     (seed, samples) and independent of worker count.
 
-    With full_support=True the whole enumeration is tallied exactly once
-    instead of drawing, so the averages match the exhaustive census
-    exactly; samples is then ignored.  Either way the map evaluations
-    must fit the budget.
+    samples maps are drawn, map i from its own stream per_index_rng(seed,
+    i).  samples=None draws none: the whole support is tallied exactly
+    once, so the averages match the exhaustive census exactly and the
+    report says full_support.  Either way the map evaluations must fit
+    the budget.
     """
     fam = _family(family)
     if d < 0:
         raise ValueError("degree must be >= 0")
-    if samples < 1 and not full_support:
+    if samples is not None and samples < 1:
         raise ValueError("samples must be >= 1")
-    kmax = fam.vertices(ctx) if kmax is None else kmax
-    if full_support:
+    if samples is None:
         [types] = _exhaustive_tally(ctx, fam, range(d, d + 1), jobs, budget, "census", _CENSUS_ADVICE)
     else:
         what = f"sampled {fam.name} census of {samples} maps over q={ctx.q}"
         _check_budget(samples * fam.vertices(ctx), budget, what, "lower the sample count")
-        [types] = run_blocks(_census_block, [((ctx, fam, d, seed), samples)], jobs)
-    return _build_report(ctx, fam, d, kmax, types, "sampled", seed=seed, full_support=full_support)
+        [types] = run_blocks(_per_index_block, [((_drawn_type, (ctx, fam, d), seed), samples)], jobs)
+    return _build_report(ctx, fam, d, kmax, types, "sampled", seed=seed, full_support=samples is None)
 
 
 def cycle_totals_at_most(
@@ -1007,14 +1023,11 @@ class RhoSummary:
         }
 
 
-def _rho_block(ctx: FieldCtx, family: Family, d: int, seed: int, start: int, stop: int) -> Counter:
-    walks: Counter = Counter()  # (tail, cycle) -> number of walks
-    for i in range(start, stop):
-        rng = per_index_rng(seed, i)
-        m = family.sample(ctx, d, rng)
-        start_pt = rng.randrange(family.vertices(ctx))
-        walks[brent_rho(lambda x: family.evaluate(ctx, m, x), start_pt)] += 1
-    return walks
+def _rho_walk(ctx: FieldCtx, family: Family, d: int, rng) -> tuple[int, int]:
+    """(tail, cycle) of the Brent walk on a map of degree d drawn from rng,
+    from a start point drawn next."""
+    m = family.sample(ctx, d, rng)
+    return brent_rho(lambda x: family.evaluate(ctx, m, x), rng.randrange(family.vertices(ctx)))
 
 
 def rho_experiment(
@@ -1029,7 +1042,7 @@ def rho_experiment(
     # a walk never visits more than the whole space, so budget on that
     what = f"rho experiment of {samples} walks over {fam.vertices(ctx)} points"
     _check_budget(samples * fam.vertices(ctx), budget, what, "lower the sample count")
-    [walks] = run_blocks(_rho_block, [((ctx, fam, d, seed), samples)], jobs)
+    [walks] = run_blocks(_per_index_block, [((_rho_walk, (ctx, fam, d), seed), samples)], jobs)
     tail = sum(t * n for (t, _), n in walks.items())
     cyc = sum(c * n for (_, c), n in walks.items())
     hist: Counter = Counter()

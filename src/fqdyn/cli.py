@@ -202,21 +202,11 @@ def _field(args) -> FieldCtx:
 def _cmd_census(args, jobs: int):
     family = _canon_family(args.family)
     ctx = _field(args)
-    if args.samples is not None or args.full_support:
-        rep = sampled_census(
-            ctx,
-            args.d,
-            family,
-            args.samples or 0,
-            args.seed,
-            kmax=args.kmax,
-            jobs=jobs,
-            full_support=args.full_support,
-            budget=args.budget,
-        )
+    common = {"kmax": args.kmax, "jobs": jobs, "budget": args.budget}
+    if args.samples is not None or args.full_support:  # --full-support tallies the whole support: samples=None
+        rep = sampled_census(ctx, args.d, family, None if args.full_support else args.samples, args.seed, **common)
     else:
-        exhaustive = {"poly": poly_census, "rational": rat_census}[family]
-        rep = exhaustive(ctx, args.d, kmax=args.kmax, jobs=jobs, budget=args.budget)
+        rep = {"poly": poly_census, "rational": rat_census}[family](ctx, args.d, **common)
     config = {
         "command": "census",
         "family": family,
@@ -342,15 +332,14 @@ def _cmd_verify_prov(args, jobs: int):
 
 
 def _cmd_baseline(args, jobs: int):
-    mode = "sampled" if args.samples is not None else "exhaustive"
-    common = {"mode": mode, "samples": args.samples or 0, "seed": args.seed, "jobs": jobs, "budget": args.budget}
+    common = {"samples": args.samples, "seed": args.seed, "jobs": jobs, "budget": args.budget}
     if args.kind == "random":
         rep = baseline_census("random", n=args.size, **common)
-        config = {"command": "baseline:random", "size": args.size, "mode": mode}
+        config = {"command": "baseline:random", "size": args.size, "mode": rep.mode}
     else:
         rep = baseline_census("quadratic", m=args.m, t=args.t, **common)
-        config = {"command": "baseline:quadratic", "m": args.m, "t": args.t, "mode": mode}
-    if mode == "sampled":
+        config = {"command": "baseline:quadratic", "m": args.m, "t": args.t, "mode": rep.mode}
+    if rep.mode == "sampled":
         config["samples"] = args.samples
         config["seed"] = args.seed
     return config, rep, bool(rep.failed)

@@ -225,7 +225,7 @@ def test_criterion_10_random_baseline():
     th = random_map_stats(4)
     assert rep.avg_components == Fraction(195, 128) == th.components_exact
     assert rep.avg_periodic == th.periodic_exact
-    sampled = baseline_census("random", n=1000, mode="sampled", samples=10**4, seed=0, jobs=JOBS)
+    sampled = baseline_census("random", n=1000, samples=10**4, seed=0, jobs=JOBS)
     th1000 = random_map_stats(1000)
     zc = float(sampled.avg_components - th1000.components_exact) / sampled.stderr_components
     zp = float(sampled.avg_periodic - th1000.periodic_exact) / sampled.stderr_periodic

@@ -2,12 +2,14 @@
 sizes, structural invariants on every generated graph, sampler
 determinism and calibration."""
 
+import json
 import math
 import random
 import re
 import struct
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -25,6 +27,8 @@ from fqdyn.fgraph import cycle_census
 from fqdyn.seeding import per_index_rng
 from fqdyn.theory import quad_graph_stats, random_map_stats
 from oracles import enumerate_quadratic_graphs
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 class Ran(Exception):
@@ -228,7 +232,7 @@ class TestSamplers:
         n = RANDOM_SAMPLED_MAX_N + 1
         assert n == 2**32
         with pytest.raises(ValueError, match=f"n <= {RANDOM_SAMPLED_MAX_N}") as exc:
-            baseline_census("random", n=n, mode="sampled", samples=2, budget=2 * n + 1)
+            baseline_census("random", n=n, samples=2, budget=2 * n + 1)
         assert not isinstance(exc.value, BudgetError)
         with pytest.raises(ValueError, match=str(RANDOM_SAMPLED_MAX_N)):
             sample_random_map(n, 0)
@@ -264,32 +268,32 @@ class TestBaselineCensus:
         assert all(c.status == "pass" for c in rep.theory_comparison)
 
     def test_random_sampled_z(self):
-        rep = baseline_census("random", n=30, mode="sampled", samples=2000, seed=0)
+        rep = baseline_census("random", n=30, samples=2000, seed=0)
         assert rep.sample_count == 2000
         assert rep.stderr_components is not None
         assert all(c.status == "pass" for c in rep.theory_comparison)
 
     def test_quadratic_sampled_z(self):
-        rep = baseline_census("quadratic", m=2, t=12, mode="sampled", samples=2000, seed=1)
+        rep = baseline_census("quadratic", m=2, t=12, samples=2000, seed=1)
         assert all(c.status == "pass" for c in rep.theory_comparison)
 
     def test_big_n_uses_asymptotics(self):
-        rep = baseline_census("random", n=20000, mode="sampled", samples=150, seed=0)
+        rep = baseline_census("random", n=20000, samples=150, seed=0)
         assert [c.name for c in rep.theory_comparison] == [
             "components_z_asymptotic",
             "periodic_z_asymptotic",
         ]
 
     def test_sampled_jobs_independent(self):
-        a = baseline_census("random", n=30, mode="sampled", samples=1000, seed=0, jobs=1)
-        b = baseline_census("random", n=30, mode="sampled", samples=1000, seed=0, jobs=4)
+        a = baseline_census("random", n=30, samples=1000, seed=0, jobs=1)
+        b = baseline_census("random", n=30, samples=1000, seed=0, jobs=4)
         assert a.to_jsonable() == b.to_jsonable()
 
     def test_stderr_shrinks_with_samples(self):
         # quadrupling the sample count should roughly halve the standard
         # error; allow a wide band since the variance estimate moves too
-        small = baseline_census("random", n=50, mode="sampled", samples=500, seed=5)
-        big = baseline_census("random", n=50, mode="sampled", samples=2000, seed=5)
+        small = baseline_census("random", n=50, samples=500, seed=5)
+        big = baseline_census("random", n=50, samples=2000, seed=5)
         ratio = small.stderr_components / big.stderr_components
         assert 1.4 < ratio < 2.9
 
@@ -297,9 +301,9 @@ class TestBaselineCensus:
         "kwargs",
         [
             {"kind": "random", "n": 5},  # 5^5 maps of 5 points
-            {"kind": "random", "n": 1000, "mode": "sampled", "samples": 50},
+            {"kind": "random", "n": 1000, "samples": 50},
             {"kind": "quadratic", "m": 2, "t": 2},  # 6 decoded labellings of 4 points
-            {"kind": "quadratic", "m": 2, "t": 3, "mode": "sampled", "samples": 2},
+            {"kind": "quadratic", "m": 2, "t": 3, "samples": 2},
         ],
     )
     def test_budget(self, kwargs):
@@ -319,8 +323,22 @@ class TestBaselineCensus:
         with pytest.raises(BudgetError, match="over the budget of 1000000000;"):
             baseline_census(**kwargs)
 
+    @pytest.mark.parametrize(
+        "golden, kwargs",
+        [
+            ("baseline-random-4", {"kind": "random", "n": 4}),
+            ("baseline-quadratic-2-3", {"kind": "quadratic", "m": 2, "t": 3}),
+        ],
+    )
+    def test_no_sample_count_decodes_every_graph(self, golden, kwargs):
+        """samples=None is the exhaustive run: its report is the pinned
+        exhaustive one."""
+        rep = baseline_census(**kwargs, samples=None)
+        pinned = json.loads((GOLDEN / f"{golden}.json").read_text(encoding="utf-8"))["report"]
+        assert json.loads(json.dumps(rep.to_jsonable())) == pinned
+
     def test_budget_counts_graphs_times_points(self):
-        assert baseline_census("random", n=5, mode="sampled", samples=2, budget=10).graph_count == 2
+        assert baseline_census("random", n=5, samples=2, budget=10).graph_count == 2
         assert baseline_census("quadratic", m=2, t=2, budget=24).graph_count == 36  # 6 decoded of 4 points
 
     def test_bad_args(self):
@@ -331,17 +349,14 @@ class TestBaselineCensus:
         with pytest.raises(ValueError):
             baseline_census("nonsense", n=3)
         with pytest.raises(ValueError):
-            baseline_census("random", n=5, mode="sampled", samples=0)
-        # any mode but "exhaustive" used to run as sampled
-        with pytest.raises(ValueError, match="unknown baseline mode 'sample'"):
-            baseline_census("random", n=5, mode="sample", samples=3)
+            baseline_census("random", n=5, samples=0)
 
     def test_jsonable(self):
         doc = baseline_census("quadratic", m=2, t=2).to_jsonable()
         assert doc["family"] == "baseline:quadratic"
         assert doc["m"] == 2 and doc["t"] == 2
         assert "sample_count" not in doc
-        sampled = baseline_census("random", n=8, mode="sampled", samples=40, seed=0)
+        sampled = baseline_census("random", n=8, samples=40, seed=0)
         doc = sampled.to_jsonable()
         assert doc["family"] == "baseline:random"
         assert doc["sample_count"] == 40

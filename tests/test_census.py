@@ -13,9 +13,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from fqdyn import census, cli
+from fqdyn.baseline import baseline_census
 from fqdyn.census import (
     POLY,
     BudgetError,
+    _count_text,
     compare,
     cycle_totals_at_most,
     enumerate_S,
@@ -323,14 +325,14 @@ class TestSampledCensus:
 
     def test_full_support_matches_exhaustive(self):
         exact = poly_census(F5, 2)
-        swept = sampled_census(F5, 2, "poly", 0, seed=0, full_support=True)
+        swept = sampled_census(F5, 2, "poly", None, seed=0)
         assert swept.avg_components == exact.avg_components
         assert swept.avg_periodic == exact.avg_periodic
         assert swept.avg_k_cycles == exact.avg_k_cycles
 
     def test_full_support_rational(self):
         exact = rat_census(F3, 1)
-        swept = sampled_census(F3, 1, "rational", 0, seed=0, full_support=True)
+        swept = sampled_census(F3, 1, "rational", None, seed=0)
         assert swept.avg_components == exact.avg_components
         assert swept.avg_k_cycles == exact.avg_k_cycles
         # full-support averages are exact, so their bounds stay strict
@@ -372,6 +374,21 @@ class TestSampledCensus:
         assert rep.failed == []
         five = [c for c in rep.theory_comparison if c.k == 5][0]
         assert five.observed == Fraction(3, 200) and five.relation == "|z| <= 5 (z = -3.008)"
+
+    @pytest.mark.parametrize(
+        "ctx, d, family, exhaustive", [(F5, 2, "poly", poly_census), (F3, 1, "rational", rat_census)]
+    )
+    def test_no_sample_count_tallies_the_whole_support(self, ctx, d, family, exhaustive):
+        """samples=None is the only switch to the full support: the
+        exhaustive tally, reported as a sampled run with full_support."""
+        exact = exhaustive(ctx, d)
+        swept = sampled_census(ctx, d, family, None, seed=0)
+        assert (swept.map_count, swept.avg_components, swept.avg_periodic, swept.avg_k_cycles) == (
+            exact.map_count, exact.avg_components, exact.avg_periodic, exact.avg_k_cycles
+        )
+        doc = swept.to_jsonable()
+        assert doc["mode"] == "sampled" and doc["full_support"] is True
+        assert doc["sample_count"] == exact.map_count
 
     def test_stderr_present(self):
         rep = sampled_census(F5, 2, "poly", 50, seed=0)
@@ -454,14 +471,44 @@ class TestBudget:
         with pytest.raises(BudgetError, match="sample count"):
             sampled_census(F5, 3, "poly", 500, seed=0, budget=2499)
         with pytest.raises(BudgetError, match="sampled mode"):
-            sampled_census(F5, 3, "poly", 0, seed=0, full_support=True, budget=2499)
-        assert sampled_census(F5, 3, "poly", 0, seed=0, full_support=True, budget=2500).map_count == 500
+            sampled_census(F5, 3, "poly", None, seed=0, budget=2499)
+        assert sampled_census(F5, 3, "poly", None, seed=0, budget=2500).map_count == 500
 
     def test_rho_experiment_budget(self):
         # 10 walks over 5 points can cost up to 50 evaluations
         with pytest.raises(BudgetError, match="sample count"):
             rho_experiment(F5, 2, "poly", 10, seed=0, budget=10)
         assert rho_experiment(F5, 2, "poly", 10, seed=0, budget=50).samples == 10
+
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda: sampled_census(F5, 2, "poly", 0, seed=0),
+            lambda: rho_experiment(F5, 2, "poly", 0, seed=0),
+            lambda: baseline_census("random", n=5, samples=0),
+        ],
+        ids=["sampled_census", "rho_experiment", "baseline_census"],
+    )
+    def test_zero_samples_refused(self, run):
+        with pytest.raises(ValueError, match="samples must be >= 1") as exc:
+            run()
+        assert not isinstance(exc.value, BudgetError)
+
+    @pytest.mark.parametrize(
+        "n, text",
+        [
+            (10**30 - 1, "9" * 30),
+            (10**30, "~1.000e30"),
+            (12346 * 10**40, "~1.235e44"),
+            (2 * 10**4826 - 1, "~2.000e4826"),
+            (12961 * 10**4822, "~1.296e4826"),
+        ],
+        ids=["30 digits", "31 digits", "45 digits", "4,827 digits rounded up", "4,827 digits"],
+    )
+    def test_long_counts_in_short_form(self, n, text):
+        """Counts up to 30 digits print exactly; longer ones rounded to
+        four digits times a power of ten."""
+        assert _count_text(n) == text
 
     def test_explicit_budget_wins(self, monkeypatch):
         monkeypatch.setenv("FQDYN_BUDGET", "10")

@@ -241,9 +241,9 @@ class TestAtMostTotalsRunOnce:
         walked = []
         block = census._census_block
 
-        def spy(ctx, fam, d, seed, start, stop):
+        def spy(ctx, fam, d, start, stop):
             walked.extend((d, i) for i in range(start, stop))
-            return block(ctx, fam, d, seed, start, stop)
+            return block(ctx, fam, d, start, stop)
 
         monkeypatch.setattr(census, "_census_block", spy)
         assert cli.run([*argv, "--jobs", "1"]) == 0
@@ -282,14 +282,14 @@ class TestWorkerFailures:
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_exit_code(self, exc_type, code, jobs, monkeypatch, capsys, forks):
         monkeypatch.setattr(census, "usable_cpus", lambda: 2)
-        block = census._census_block
+        block = census._per_index_block
 
-        def last_block_raises(ctx, fam, d, seed, start, stop):
+        def last_block_raises(fn, args, seed, start, stop):
             if stop == 4:  # the child's block at --jobs 2
                 raise exc_type(f"raised in pid {os.getpid()}")
-            return block(ctx, fam, d, seed, start, stop)
+            return block(fn, args, seed, start, stop)
 
-        monkeypatch.setattr(census, "_census_block", last_block_raises)
+        monkeypatch.setattr(census, "_per_index_block", last_block_raises)
         argv = ["census", "--p", "3", "--d", "2", "--samples", "4", "--jobs", jobs]
         assert cli.run(argv) == code
         raiser = forks[0] if jobs == "2" else os.getpid()
@@ -300,21 +300,41 @@ class TestWorkerFailures:
         """A child that ends without a result, as a killed one does, is an
         internal error: one line on stderr, nothing on stdout."""
         monkeypatch.setattr(census, "usable_cpus", lambda: 2)
-        block = census._census_block
+        block = census._per_index_block
         parent = os.getpid()
 
-        def child_dies(ctx, fam, d, seed, start, stop):
+        def child_dies(fn, args, seed, start, stop):
             if os.getpid() != parent:
                 os._exit(9)
-            return block(ctx, fam, d, seed, start, stop)
+            return block(fn, args, seed, start, stop)
 
-        monkeypatch.setattr(census, "_census_block", child_dies)
+        monkeypatch.setattr(census, "_per_index_block", child_dies)
         assert cli.run(["census", "--p", "3", "--d", "2", "--samples", "4", "--jobs", "2"]) == 3
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith("internal error: worker process") and "exit code 9" in err
         assert err.count("\n") == 1
         assert len(forks) == 1
+
+
+class TestSampledPaths:
+    @pytest.mark.parametrize("family", ["poly", "rat"])
+    def test_degree_zero(self, family, capsys):
+        """A map of degree 0 is constant: one fixed point and nothing else
+        periodic, so any draw of them averages exactly 1."""
+        argv = ["census", "--family", family, "--p", "3", "--d", "0", "--samples", "7", "--jobs", "1"]
+        assert cli.run(argv) == 0
+        report = json.loads(capsys.readouterr().out)["report"]
+        one = {"num": "1", "den": "1"}
+        assert report["avg_components"] == report["avg_periodic"] == one
+        assert report["avg_k_cycles"] == {"1": one}
+        assert {row["status"] for row in report["theory_comparison"]} == {"pass"}
+
+    def test_one_sample(self, capsys):
+        """One draw has no standard error, and its rows still pass."""
+        assert cli.run(["census", "--p", "3", "--d", "2", "--samples", "1", "--jobs", "1"]) == 0
+        report = json.loads(capsys.readouterr().out)["report"]
+        assert report["sample_count"] == 1 and report["stderr_components"] is None
 
 
 class TestExactIntegersOfAnySize:
@@ -338,6 +358,21 @@ class TestExactIntegersOfAnySize:
         code, out, err = run_cli("census", "--p", "2", "--n", "16", "--d", "1000")
         assert code == 2 and out == ""
         assert "over the budget" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("census", "--p", "2", "--n", "16", "--d", "1000"),
+            ("verify", "rat-count", "--p", "65521", "--dmax", "500"),
+            ("baseline", "random", "--size", "1400"),
+        ],
+    )
+    def test_refusal_prints_long_counts_in_short_form(self, argv, capsys):
+        # each count has over 4,000 digits
+        assert cli.run([*argv, "--jobs", "1"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "over the budget of 1000000000;" in err
+        assert err.count("\n") == 1 and len(err) < 200, err[:300]
 
 
 @pytest.mark.parametrize("module", ["fqdyn.ffield", "fqdyn.fmaps", "fqdyn.census", "fqdyn.cli"])

@@ -81,7 +81,7 @@ def horner_tally(ctx, family: str, d: int, lo: int, hi: int) -> CycleSums:
 
 
 def column_types(ctx, family: str, d: int, lo: int, hi: int) -> Counter:
-    return _census_block(ctx, FAMILIES[family], d, None, lo, hi)
+    return _census_block(ctx, FAMILIES[family], d, lo, hi)
 
 
 def column_tally(ctx, family: str, d: int, lo: int, hi: int) -> CycleSums:
