@@ -3,15 +3,16 @@ closed-form values attached as pass/fail comparisons.
 
 Every run, census, baseline or rho, is one pipeline: a run is a list of
 tasks, each an index range split into contiguous blocks, and each
-task's blocks merge by plain addition into one result per task.  A
+task's blocks merge by plain addition into one result per task.  Every
 block counts in a Counter: the exhaustive census walks slots of maps
-(_census_block), and every other run tallies one value per index i,
-made from i or drawn from i's own random stream (_per_index_block).
-Addition is associative and commutative, so every worker count and
-schedule yields byte-identical reports.  With more than one worker the
-parent forks a child per extra worker, runs its own share of the blocks,
-and reads each child's results back through a pipe; the results merge
-in block order whatever process computed them (run_blocks).  Census and
+(_census_block), and every other run, drawn censuses, rho walks, both
+baselines and the prov checks, tallies one value per index i, made from
+i or drawn from i's own random stream (_per_index_block).  Addition is
+associative and commutative, so every worker count and schedule yields
+byte-identical reports.  With more than one worker the parent forks a
+child per extra worker, runs its own share of the blocks, and reads
+each child's results back through a pipe; the results merge in block
+order whatever process computed them (run_blocks).  Census and
 baseline blocks count maps by cycle type, the sorted tuple of cycle
 lengths (fgraph.cycle_census); a report derives every sum it reads once
 per type (cycle_sums), and kmax applies only there.
@@ -82,7 +83,6 @@ from . import theory
 
 DEFAULT_BUDGET = 10**9
 BUDGET_ENV_VAR = "FQDYN_BUDGET"
-_CENSUS_ADVICE = "use the sampled mode instead"
 
 
 class BudgetError(ValueError):
@@ -262,7 +262,9 @@ def run_blocks(fn: Callable, tasks: Sequence[tuple[tuple, int]], jobs: int) -> l
 def _per_index_block(fn: Callable, args: tuple, seed: int | None, lo: int, hi: int) -> Counter:
     """Tally fn(*args, x) for the indices i in [lo, hi): x is i itself, or,
     with a seed, i's own random stream per_index_rng(seed, i), so a drawn
-    run draws the same maps however its range is split."""
+    run draws the same maps however its range is split.  A value that
+    begins with i, as a prov check's row does, is tallied once, and the
+    sorted tally lists the values in index order."""
     return Counter(fn(*args, i if seed is None else per_index_rng(seed, i)) for i in range(lo, hi))
 
 
@@ -836,7 +838,7 @@ def _build_report(
 def _exhaustive_census(
     ctx: FieldCtx, family: Family, d: int, kmax: int | None, jobs: int, budget: int | None
 ) -> CensusReport:
-    [types] = _exhaustive_tally(ctx, family, range(d, d + 1), jobs, budget, "census", _CENSUS_ADVICE)
+    [types] = _exhaustive_tally(ctx, family, range(d, d + 1), jobs, budget, "census", "use the sampled mode instead")
     return _build_report(ctx, family, d, kmax, types, "exhaustive")
 
 
@@ -879,7 +881,7 @@ def sampled_census(
     if samples is not None and samples < 1:
         raise ValueError("samples must be >= 1")
     if samples is None:
-        [types] = _exhaustive_tally(ctx, fam, range(d, d + 1), jobs, budget, "census", _CENSUS_ADVICE)
+        [types] = _exhaustive_tally(ctx, fam, range(d, d + 1), jobs, budget, "census", "use --samples instead")
     else:
         what = f"sampled {fam.name} census of {samples} maps over q={ctx.q}"
         _check_budget(samples * fam.vertices(ctx), budget, what, "lower the sample count")

@@ -45,6 +45,7 @@ from .census import (
     solution_count_case,
     usable_cpus,
     _check_budget,
+    _per_index_block,
     _rational_raw_count,
 )
 from .baseline import baseline_census
@@ -114,13 +115,15 @@ def build_parser() -> argparse.ArgumentParser:
     cen.add_argument("--family", choices=("poly", "rat", "rational"), default="poly")
     cen.add_argument("--d", type=int, required=True, help="map degree")
     cen.add_argument("--kmax", type=_cycle_length_cap, default=None)
-    cen.add_argument("--samples", type=int, default=None, help="switch to sampled mode")
-    cen.add_argument("--seed", type=int, default=0)
-    cen.add_argument(
+    # a sample count and the whole support are the two sampled modes, so one run takes one of them
+    sampled = cen.add_mutually_exclusive_group()
+    sampled.add_argument("--samples", type=int, default=None, help="switch to sampled mode")
+    sampled.add_argument(
         "--full-support",
         action="store_true",
         help="sampled mode: walk the whole space once instead of drawing",
     )
+    cen.add_argument("--seed", type=int, default=0)
     _add_common_flags(cen, fmt=True)
     cen.set_defaults(handler=_cmd_census)
 
@@ -288,34 +291,16 @@ def _cmd_verify_rat_count(args, jobs: int):
     return _verify_result(args, ctx.q, checks)
 
 
-def _prov_checks(ctx: FieldCtx, instances: list, lo: int, hi: int) -> list[dict]:
-    """The checks of instances [lo, hi): each family's brute-force count
-    against the case its shape falls in."""
-    checks = []
-    for i in range(lo, hi):
-        g0, g1, betas, gammas = instances[i]
-        case, exponent = solution_count_case(ctx, g0, g1, betas)
-        count = enumerate_S(ctx, g0, g1, betas, gammas)
-        if case == "exactly":
-            ok = count == ctx.q**exponent
-            expected = ctx.q**exponent
-        else:
-            ok = count <= 1
-            expected = None
-        checks.append(
-            {
-                "instance": i,
-                "g0": list(g0),
-                "g1": list(g1),
-                "betas": list(betas),
-                "gammas": list(gammas),
-                "case": case,
-                "expected_count": expected,
-                "observed_count": count,
-                "status": "pass" if ok else "fail",
-            }
-        )
-    return checks
+def _prov_check(ctx: FieldCtx, instances: list, i: int) -> tuple:
+    """Instance i's check as one row (i, g0, g1, betas, gammas, case,
+    expected count, observed count, status): the family's brute-force
+    count against the case its shape falls in."""
+    g0, g1, betas, gammas = instances[i]
+    case, exponent = solution_count_case(ctx, g0, g1, betas)
+    count = enumerate_S(ctx, g0, g1, betas, gammas)
+    expected = ctx.q**exponent if case == "exactly" else None
+    ok = count == expected if case == "exactly" else count <= 1
+    return i, g0, g1, betas, gammas, case, expected, count, "pass" if ok else "fail"
 
 
 def _cmd_verify_prov(args, jobs: int):
@@ -325,7 +310,10 @@ def _cmd_verify_prov(args, jobs: int):
     walked = sum(ctx.q ** (len(g0) + len(g1) - 2) for g0, g1, _, _ in instances)
     what = f"counting {args.instances} interpolation families over q={ctx.q}"
     _check_budget(walked, args.budget, what, "lower --instances")
-    [checks] = run_blocks(_prov_checks, [((ctx, instances), len(instances))], jobs)
+    # one row per instance, each tallied once; sorted, they are in instance order
+    [rows] = run_blocks(_per_index_block, [((_prov_check, (ctx, instances), None), len(instances))], jobs)
+    keys = ("instance", "g0", "g1", "betas", "gammas", "case", "expected_count", "observed_count", "status")
+    checks = [dict(zip(keys, row)) for row in sorted(rows)]
     case_tally = {case: sum(c["case"] == case for c in checks) for case in ("exactly", "at_most_one")}
     echo = {"instances": args.instances, "seed": args.seed}
     return _verify_result(args, ctx.q, checks, echo, case_tally=case_tally)

@@ -18,8 +18,9 @@ a GF(2) bit vector, so addition and subtraction are XOR and negation is
 the identity; for odd p negation multiplies by handle p - 1, which is
 -1, and addition in extension fields uses a Zech-logarithm table.  The
 tables walk the powers of the smallest generator of the unit group
-(_build_tables).  The modulus search and the odd-p walk run fmaps'
-polynomial arithmetic over GF(p).  Prime fields above the cap fall back
+(_build_tables).  The modulus search and every extension-field product
+of the table build run fmaps' polynomial arithmetic over GF(p), in
+characteristic 2 as for odd p.  Prime fields above the cap fall back
 to direct modular arithmetic; extension fields above the cap are
 refused before any modulus is searched for.
 """
@@ -27,7 +28,6 @@ refused before any modulus is searched for.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from itertools import product
 from typing import Callable, Sequence
 
@@ -132,23 +132,6 @@ def undigits(ds: Sequence[int], base: int) -> int:
     return out
 
 
-def _gf2_mul(a: int, b: int, modulus: int, n: int) -> int:
-    """Carry-less product a * b in GF(2^n), handles as bit vectors.
-
-    For each set bit of b the running shift of a is XORed in; a shift
-    that reaches t^n is reduced by XORing in the modulus bits.
-    """
-    out = 0
-    while b:
-        if b & 1:
-            out ^= a
-        b >>= 1
-        a <<= 1
-        if a >> n:
-            a ^= modulus
-    return out
-
-
 def _default_modulus(p: int, n: int) -> tuple[int, ...]:
     """Lexicographically smallest monic irreducible of degree n over GF(p).
 
@@ -198,16 +181,15 @@ def _build_tables(
     g generates exactly when g^((q-1)/r) != 1 for every prime r dividing
     q - 1, a few dozen products by square-and-multiply.  Only the first
     generator's powers are walked, once, and that walk is the exp table.
-    In characteristic 2 each step multiplies by g as a few shifts of the
-    running power, and one lookup reduces the bits past t^(n-1); odd-p
-    extension fields multiply the handles' digit vectors with fmaps'
-    poly_mul and reduce them with poly_divmod over GF(p).  q == 2
-    keeps exp == [1]: the trivial group.  Only odd-p extension fields get
-    a Zech table.
+    A product in an extension field, p = 2 included, multiplies the
+    handles' digit vectors with fmaps' poly_mul and reduces them with
+    poly_divmod over GF(p); a prime field multiplies integers mod p.  The
+    odd-p walk multiplies by g that way.  In characteristic 2 each step
+    is a few shifts of the running power, and one lookup, a table of such
+    products, reduces the bits past t^(n-1).  q == 2 keeps exp == [1]:
+    the trivial group.  Only odd-p extension fields get a Zech table.
     """
-    if p == 2:
-        mul = partial(_gf2_mul, modulus=undigits(modulus, 2), n=n)
-    elif n == 1:
+    if n == 1:
         mul = lambda a, b: a * b % p
     else:
         from .fmaps import poly_divmod, poly_mul  # at call time, as in _default_modulus

@@ -210,7 +210,7 @@ class TestCycleTotals:
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_run_blocks_returns_one_result_per_task(self, jobs, monkeypatch):
         """Each task's blocks merge in block order into that task's result;
-        list results show the order, as verify prov's check lists do."""
+        list results show the order."""
         monkeypatch.setattr(census, "usable_cpus", lambda: 2)
         tasks = [(("a",), 5), (("b",), 0), (("c",), 3)]
         assert census.run_blocks(_labelled_range, tasks, jobs) == [
@@ -470,7 +470,7 @@ class TestBudget:
         # 2,500 evaluations either way: 500 maps of 5 points
         with pytest.raises(BudgetError, match="sample count"):
             sampled_census(F5, 3, "poly", 500, seed=0, budget=2499)
-        with pytest.raises(BudgetError, match="sampled mode"):
+        with pytest.raises(BudgetError, match="use --samples instead"):
             sampled_census(F5, 3, "poly", None, seed=0, budget=2499)
         assert sampled_census(F5, 3, "poly", None, seed=0, budget=2500).map_count == 500
 

@@ -53,6 +53,22 @@ class TestCensusCommand:
         assert code == 2
         assert "2500 map evaluations" in capsys.readouterr().err
 
+    def test_full_support_refusal_advises_a_sample_count(self, capsys):
+        # the advice used to be "use the sampled mode instead", which a
+        # --full-support run already is
+        code = cli.run(["census", "--p", "2", "--n", "16", "--d", "1000", "--full-support", "--jobs", "1"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "; use --samples instead, or raise --budget" in err and "sampled mode" not in err
+        assert err.count("\n") == 1 and len(err) < 200
+
+    def test_samples_and_full_support_exclude_each_other(self, capsys):
+        # the pair used to exit 0 and echo the map count as "samples"
+        assert cli.run(["census", "--p", "3", "--d", "1", "--full-support", "--samples", "5"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "argument --samples: not allowed with argument --full-support" in captured.err
+
     def test_env_budget(self):
         code, out, err = run_cli(
             "census", "--p", "5", "--n", "1", "--d", "2", env_extra={"FQDYN_BUDGET": "100"}
@@ -184,8 +200,8 @@ class TestVerifyCommands:
         assert a == b
 
     def test_prov_splits_its_instances_across_workers(self, monkeypatch, tmp_path):
-        """--jobs used to be ignored; the check lists of two blocks join to
-        the one-process report byte for byte."""
+        """--jobs used to be ignored; the per-instance rows of two blocks,
+        listed in instance order, give the one-process report byte for byte."""
         monkeypatch.setattr(census, "usable_cpus", lambda: 2)
         calls = []
 
@@ -200,7 +216,7 @@ class TestVerifyCommands:
             argv = ["verify", "prov", "--p", "3", "--instances", "9", "--jobs", jobs, "--output", str(out)]
             assert cli.run(argv) == 0
             texts.append(out.read_text(encoding="utf-8"))
-        assert calls == [("_prov_checks", [9], 1), ("_prov_checks", [9], 2)]
+        assert calls == [("_per_index_block", [9], 1), ("_per_index_block", [9], 2)]
         assert texts[0] == texts[1]
 
     def test_cycle_bounds(self):

@@ -1,13 +1,14 @@
-"""Every run of the package goes through one of three blocks.
+"""Every run of the package goes through one of two blocks.
 
-run_blocks is the one block runner, and it runs one of three blocks:
-the exhaustive census's slot walk (census._census_block), the per-index
-tally that serves drawn censuses, rho walks and both baselines
-(census._per_index_block), and the prov checks (cli._prov_checks).  A
-block of its own would bring back its own copy of the rule that draws
-index i from per_index_rng(seed, i), which keeps drawn reports the same
-for any --jobs.  So no other function is passed to run_blocks, and the
-retired blocks are not defined again.
+run_blocks is the one block runner, and it runs one of two blocks, each
+returning a Counter: the exhaustive census's slot walk
+(census._census_block), and the per-index tally that serves drawn
+censuses, rho walks, both baselines and the prov checks
+(census._per_index_block).  A block of its own would bring back its own
+copy of the rule that draws index i from per_index_rng(seed, i), which
+keeps drawn reports the same for any --jobs, or its own result type
+beside the Counter.  So no other function is passed to run_blocks, and
+the retired blocks are not defined again.
 """
 
 from __future__ import annotations
@@ -16,8 +17,8 @@ import ast
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "fqdyn"
-BLOCKS = {"_census_block", "_per_index_block", "_prov_checks"}
-RETIRED = {"_rho_block", "_graph_block"}
+BLOCKS = {"_census_block", "_per_index_block"}
+RETIRED = {"_rho_block", "_graph_block", "_prov_checks"}
 
 
 def _name(node: ast.AST) -> str | None:
@@ -50,7 +51,7 @@ def rule_breaks(paths) -> list[str]:
 def test_every_run_uses_a_shared_block():
     paths = sorted(PACKAGE.glob("*.py"))
     assert rule_breaks(paths) == []
-    # and each of the three serves some run, so the guard reads real calls
+    # and each of the two serves some run, so the guard reads real calls
     assert {block for _, block in blocks_run(paths)} == BLOCKS
 
 
