@@ -82,7 +82,6 @@ from .seeding import per_index_rng
 from . import theory
 
 DEFAULT_BUDGET = 10**9
-BUDGET_ENV_VAR = "FQDYN_BUDGET"
 
 
 class BudgetError(ValueError):
@@ -90,18 +89,10 @@ class BudgetError(ValueError):
 
 
 def resolve_budget(budget: int | None) -> int:
-    """budget if given, else the FQDYN_BUDGET environment variable, else
-    DEFAULT_BUDGET; anything but an integer >= 0 is refused, naming its source."""
-    source, value = "evaluation budget", budget
-    if budget is None:
-        source, value = BUDGET_ENV_VAR, os.environ.get(BUDGET_ENV_VAR, DEFAULT_BUDGET)
-    try:
-        limit = int(value)
-    except ValueError:
-        limit = -1
-    if limit < 0:
-        raise ValueError(f"{source} must be an integer >= 0, got {value!r}")
-    return limit
+    """budget if given, else DEFAULT_BUDGET; a negative budget is refused."""
+    if budget is not None and budget < 0:
+        raise ValueError(f"evaluation budget must be an integer >= 0, got {budget!r}")
+    return DEFAULT_BUDGET if budget is None else budget
 
 
 def _count_text(n: int) -> str:
@@ -111,13 +102,12 @@ def _count_text(n: int) -> str:
 
 
 def _check_budget(evaluations: int, budget: int | None, what: str, advice: str) -> None:
-    """Refuse evaluations over the budget, naming the source the limit came from."""
+    """Refuse evaluations over the budget, in one line ending ", or raise --budget"."""
     limit = resolve_budget(budget)
     if evaluations > limit:
-        source = "--budget" if budget is not None else f"--budget or the {BUDGET_ENV_VAR} environment variable"
         raise BudgetError(
             f"{what} needs {_count_text(evaluations)} map evaluations, over the budget of {_count_text(limit)}; "
-            f"{advice}, or raise {source}"
+            f"{advice}, or raise --budget"
         )
 
 
@@ -368,8 +358,8 @@ def _rational_successors(ctx: FieldCtx, d: int, lo: int, hi: int):
     Slot s holds the s-th monic denominator of degree <= d, by degree e
     and then in the order of monic_poly_at; at d = 0 the slot after them
     holds the constant-infinity map.  Each denominator is decoded alone:
-    its value column gives the divide rows, a point where it vanishes
-    going to infinity, and a sieve marks once the numerators that share a
+    its value column gives one divide row per distinct value (a zero goes
+    to infinity), and a sieve marks once the numerators that share a
     factor with it (_shared_factor_slots).  Its numerators run as one
     column walk in poly_at_most_at order, from slot q^d (x^d, the first of
     degree d) when e < d and from slot 0 when e = d, so every pair walked
@@ -383,7 +373,9 @@ def _rational_successors(ctx: FieldCtx, d: int, lo: int, hi: int):
     dens = ((e, i) for e in range(d + 1) for i in range(q**e))
     for e, i in islice(dens, lo, hi):
         den = monic_poly_at(ctx, e, i)
-        divide = tuple(mul_row(ctx.inv(v)) if v else to_inf for v in poly_values(ctx, den))
+        values = poly_values(ctx, den)
+        rows = {v: mul_row(ctx.inv(v)) if v else to_inf for v in set(values)}
+        divide = tuple(map(rows.__getitem__, values))
         shared = _shared_factor_slots(ctx, d, den)
         first = q**d if e < d else 0
         ni = first

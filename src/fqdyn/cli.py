@@ -13,8 +13,8 @@ Subcommands:
 
 Exit codes: 0 success, 1 when any theory comparison in the emitted
 report has status "fail", 2 on usage, precondition, or budget errors,
-3 on an internal error: a broken invariant, which is a bug in fqdyn, or
-a --jobs worker that ended without a result, as a killed one does.
+3 on an internal error: any other exception, a bug in fqdyn, or a --jobs
+worker that ended without a result, as a killed one does.
 
 JSON output echoes the run configuration, the evaluation budget included
 for every command that takes --budget; worker count, format, and output
@@ -419,10 +419,10 @@ def run(argv: list[str] | None = None) -> int:
         config, rep, has_fail = args.handler(args, jobs)
         if hasattr(args, "budget"):  # every command whose parser has --budget echoes it
             config["budget"] = resolve_budget(args.budget)
-    except (ValueError, KeyError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (AssertionError, RuntimeError) as exc:  # a broken invariant, or a worker that died
+    except Exception as exc:  # a bug in fqdyn, such as a broken invariant, or a worker that died
         print(f"internal error: {exc}", file=sys.stderr)
         return 3
 

@@ -8,12 +8,9 @@ import pytest
 
 def pytest_configure(config):
     """Child processes that run python -m fqdyn find the package where
-    this one does, in src/, whether or not fqdyn is installed.  The
-    caller's FQDYN_BUDGET is dropped, here and in those children, so that
-    every test sees the default budget unless it sets one itself."""
+    this one does, in src/, whether or not fqdyn is installed."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    os.environ.pop("FQDYN_BUDGET", None)
 
 
 @pytest.fixture

@@ -460,12 +460,6 @@ class TestBudget:
         with pytest.raises(BudgetError, match="sampled"):
             poly_census(F2, 40)
 
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("FQDYN_BUDGET", "10")
-        assert resolve_budget(None) == 10
-        with pytest.raises(BudgetError, match="FQDYN_BUDGET"):
-            poly_census(F5, 2)
-
     def test_sampled_census_budget(self):
         # 2,500 evaluations either way: 500 maps of 5 points
         with pytest.raises(BudgetError, match="sample count"):
@@ -510,8 +504,7 @@ class TestBudget:
         four digits times a power of ten."""
         assert _count_text(n) == text
 
-    def test_explicit_budget_wins(self, monkeypatch):
-        monkeypatch.setenv("FQDYN_BUDGET", "10")
+    def test_explicit_budget_wins(self):
         assert resolve_budget(10**6) == 10**6
         poly_census(F5, 2, budget=10**6)  # no raise
 

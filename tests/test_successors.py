@@ -23,7 +23,7 @@ from hypothesis import given, settings, strategies as st
 
 from fqdyn import census
 from fqdyn.census import POLY, RATIONAL, CycleSums, _census_block, _split_blocks, cycle_sums
-from fqdyn.ffield import make_field
+from fqdyn.ffield import FieldCtx, make_field
 from fqdyn.fgraph import FunctionalGraph, cycle_census
 from fqdyn.fmaps import (
     CONSTANT_INFINITY,
@@ -163,6 +163,18 @@ def test_rows_without_tables_above_the_cap(p, family, d, lo, hi, monkeypatch):
     want = horner_tally(ctx, family, d, lo, hi)
     assert want.map_count > 0
     assert column_tally(ctx, family, d, lo, hi) == want
+
+
+def test_one_divide_row_per_distinct_denominator_value(monkeypatch):
+    """Above the table cap each divide row costs q products.  The only
+    denominator at d = 0 is 1, so the walk builds one row, not one per
+    point: the q x q rows it used to build took 66,049 products at q = 257."""
+    ctx = field(257)
+    calls = []
+    mul = FieldCtx.mul
+    monkeypatch.setattr(FieldCtx, "mul", lambda self, a, b: calls.append(a) or mul(self, a, b))
+    assert column_types(ctx, "rational", 0, 0, 2).total() == ctx.q + 1  # the constants and infinity
+    assert 0 < len(calls) <= 2 * ctx.q
 
 
 @settings(max_examples=60, deadline=None)
