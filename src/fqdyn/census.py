@@ -70,7 +70,6 @@ from .fmaps import (
     monic_poly_at,
     normalize_poly,
     poly_at_most_at,
-    poly_divmod,
     poly_exactly_at,
     poly_exactly_count,
     poly_gcd,  # unused here; perfbench/traced.py patches census.poly_gcd by name
@@ -656,14 +655,17 @@ def _rat_comparisons(rep: CensusReport) -> tuple[TheoryComparison, ...]:
     out: list[TheoryComparison] = []
     for k in range(1, min(d + 1, kmax) + 1):
         b = theory.rat_avg_k_bounds(q, d, k)
+        observed, row = rep.avg_k_cycles.get(k, Fraction(0)), {"k": k, "drawn": drawn, "stderr": se_k.get(k)}
+        if b.lower_is_tight:  # no k-cycle on q + 1 points: exactly 0
+            out.append(compare("rat_avg_k_exact", observed, "== (tight: k > q+1)", expected=b.lower, **row))
+            continue
         lower = b.lower if b.lower_applies else None
         out.append(
             compare(
                 "rat_avg_k_bounds" if lower is not None else "rat_avg_k_upper",
-                rep.avg_k_cycles.get(k, Fraction(0)),
+                observed,
                 "strictly between" if lower is not None else "< (upper only at k = d+1)",
-                lower=lower, upper=b.upper, strict=True, vacuous=lower is not None and b.vacuous_lower,
-                k=k, drawn=drawn, stderr=se_k.get(k),
+                lower=lower, upper=b.upper, strict=True, vacuous=lower is not None and b.vacuous_lower, **row,
             )
         )
     b = theory.rat_component_bounds(q, d)
@@ -908,7 +910,8 @@ def enumerate_S(
     gammas: Sequence[FqElem],
 ) -> int:
     """Brute-force cardinality of the interpolation family: monic f with
-    deg f = deg(g0 g1), divisible by g0, and f(beta_i) = gamma_i * (g0 g1)(beta_i).
+    deg f = deg(g0 g1), divisible by g0, and f(beta_i) = gamma_i * (g0 g1)(beta_i),
+    walked as f = g0 h over the q^deg(g1) monic h of degree deg g1.
 
     g0 must be monic and constant or irreducible; betas distinct, one
     gamma per beta.
@@ -926,16 +929,10 @@ def enumerate_S(
     if len(betas) != len(gammas) or not betas:
         raise ValueError("need one gamma per beta, at least one")
     prod = poly_mul(ctx, g0, g1)
-    j = len(prod) - 1
+    j1 = len(g1) - 1
     targets = [ctx.mul(g, eval_poly(ctx, prod, b)) for b, g in zip(betas, gammas)]
-    count = 0
-    for idx in range(ctx.q**j):
-        f = monic_poly_at(ctx, j, idx)
-        if poly_divmod(ctx, f, g0)[1] != ():
-            continue
-        if all(eval_poly(ctx, f, b) == t for b, t in zip(betas, targets)):
-            count += 1
-    return count
+    multiples = (poly_mul(ctx, g0, monic_poly_at(ctx, j1, i)) for i in range(ctx.q**j1))
+    return sum(all(eval_poly(ctx, f, b) == t for b, t in zip(betas, targets)) for f in multiples)
 
 
 # random_constraint_instance draws at most this many interpolation points,
@@ -948,7 +945,8 @@ def random_constraint_instance(ctx: FieldCtx, rng) -> tuple[Poly, Poly, tuple[Fq
     """Pseudo-random valid (g0, g1, betas, gammas) instance for enumerate_S.
 
     Mixes the three solvability shapes: trivial g0, g0 linear through
-    one of the betas, and g0 irreducible away from the betas.
+    one of the betas, and g0 irreducible; a linear draw of the third may
+    pass through a beta, and solution_count_case then takes the linear case.
     """
     m = rng.randrange(1, min(INSTANCE_MAX_POINTS, ctx.q) + 1)
     betas = tuple(rng.sample(range(ctx.q), m))
@@ -970,16 +968,14 @@ def random_constraint_instance(ctx: FieldCtx, rng) -> tuple[Poly, Poly, tuple[Fq
 
 
 def solution_count_case(ctx: FieldCtx, g0: Poly, g1: Poly, betas: Sequence[FqElem]) -> tuple[str, int | None]:
-    """Which case of the interpolation-count statement applies:
-    ("at_most_one", None) or ("exactly", q-power exponent)."""
+    """Which case of the interpolation-count statement applies to the family of
+    degree deg g0 + deg g1: ("at_most_one", None) or ("exactly", q-power exponent)."""
     g0 = normalize_poly(g0)
     g1 = normalize_poly(g1)
     m = len(betas)
-    j = len(poly_mul(ctx, g0, g1)) - 1
     j1 = len(g1) - 1
-    linear_in_betas = len(g0) == 2 and any(
-        g0 == (ctx.neg(b), 1) for b in betas
-    )
+    j = len(g0) - 1 + j1
+    linear_in_betas = any(g0 == (ctx.neg(b), 1) for b in betas)
     trivial_g0 = g0 == (1,)
     if (trivial_g0 or linear_in_betas) and j >= m:
         return "exactly", j - m

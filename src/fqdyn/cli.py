@@ -245,9 +245,11 @@ def _poly_total_verdict(q: int, d: int, k: int, observed: int) -> dict:
 def _rat_total_verdict(q: int, d: int, k: int, observed: int) -> dict:
     b = rat_k_cycle_total_bounds(q, d, k)
     entry = {"lower": frac_json(b.lower), "upper": frac_json(b.upper), "vacuous_lower": b.vacuous_lower}
-    if b.vacuous_lower:
+    if b.lower_is_tight:
+        entry["note"] = "no k-cycle at k > q+1; checked as exactly 0"
+    elif b.vacuous_lower:
         entry["note"] = "lower bound vacuous at q <= k+1; upper checked only"
-    ok = (b.vacuous_lower or b.lower < observed) and observed < b.upper
+    ok = observed == b.lower if b.lower_is_tight else (b.vacuous_lower or b.lower < observed) and observed < b.upper
     return entry | {"status": "pass" if ok else "fail"}
 
 
@@ -306,8 +308,8 @@ def _prov_check(ctx: FieldCtx, instances: list, i: int) -> tuple:
 def _cmd_verify_prov(args, jobs: int):
     ctx = _field(args)
     instances = [random_constraint_instance(ctx, per_index_rng(args.seed, i)) for i in range(args.instances)]
-    # enumerate_S walks the q^deg(g0 g1) monic candidates of each instance
-    walked = sum(ctx.q ** (len(g0) + len(g1) - 2) for g0, g1, _, _ in instances)
+    # enumerate_S walks the q^deg(g1) monic multiples of g0 of each instance
+    walked = sum(ctx.q ** (len(g1) - 1) for _, g1, _, _ in instances)
     what = f"counting {args.instances} interpolation families over q={ctx.q}"
     _check_budget(walked, args.budget, what, "lower --instances")
     # one row per instance, each tallied once; sorted, they are in instance order
@@ -341,16 +343,17 @@ def _cmd_theory(args, jobs: int):
     # no per-k closed form holds past k = d + 1, so a larger kmax adds no
     # row and no k past it is tried; poly_avg_k stops at d (at 1 when d = 0)
     ks = range(1, min(kmax, d + 1) + 1)
+    # exact integers are decimal strings, as in frac_json, so any JSON parser reads them whole
     poly = {
-        "cycle_totals_at_most": {str(k): poly_cycle_sum(q, d, k) for k in ks},
+        "cycle_totals_at_most": {str(k): str(poly_cycle_sum(q, d, k)) for k in ks},
         "avg_k": {str(k): frac_json(poly_avg_k(q, d, k)) for k in ks if k <= max(d, 1)},
         "component_bounds": poly_component_bounds(q, d).to_jsonable(),
         "periodic_lower": frac_json(poly_periodic_lower(q, d)),
         "periodic_minorant": poly_periodic_minorant(q, d),
     }
     rat = {
-        "count_at_most": rat_count(q, d, "at_most"),
-        "count_exactly": rat_count(q, d, "exactly"),
+        "count_at_most": str(rat_count(q, d, "at_most")),
+        "count_exactly": str(rat_count(q, d, "exactly")),
         "coprime_prob": frac_json(coprime_prob(q, d)),
         "k_total_bounds": {str(k): rat_k_cycle_total_bounds(q, d, k).to_jsonable() for k in ks},
         "avg_k_bounds": {str(k): rat_avg_k_bounds(q, d, k).to_jsonable() for k in ks},

@@ -40,9 +40,10 @@ class BoundSet:
     """A lower/upper bound pair for one graph statistic.
 
     lower_is_tight records the exact-equality condition of the statement
-    the pair comes from; lower_applies is False when the statement only
-    asserts the upper bound for these arguments; vacuous_lower marks a
-    lower bound that carries no information (nonpositive, or its
+    the pair comes from (for rational k-cycles k > q + 1, where no map has
+    one and lower = upper = 0); lower_applies is False when the statement
+    only asserts the upper bound for these arguments; vacuous_lower marks
+    a lower bound that carries no information (nonpositive, or its
     coefficient has the wrong sign).  notes holds auxiliary diagnostics
     such as float minorants and sharper intermediate forms.
     """
@@ -170,7 +171,7 @@ def rat_k_cycle_total_bounds(q: int, d: int, k: int) -> BoundSet:
 
     With K = falling(q+1,k)/k * q^(2d-k), the total lies strictly
     between (q-k-1) K and q K.  The lower bound is vacuous when
-    q - k - 1 <= 0.
+    q - k - 1 <= 0, and tight (K = 0) past k = q + 1.
     """
     if not 1 <= k <= d + 1:
         raise ValueError(f"k = {k} outside 1..d+1 = {d + 1}")
@@ -180,6 +181,7 @@ def rat_k_cycle_total_bounds(q: int, d: int, k: int) -> BoundSet:
     return BoundSet(
         lower=lower,
         upper=upper,
+        lower_is_tight=k > q + 1,
         vacuous_lower=q - k - 1 <= 0,
         center=center,
     )
@@ -190,7 +192,8 @@ def rat_avg_k_bounds(q: int, d: int, k: int) -> BoundSet:
 
     Center falling(q+1,k)/(k q^k), bracketed by factors (1 - (2k+2)/q)
     and (1 + 2/q^2), both strict.  The lower bound is asserted only for
-    k <= d; at k = d+1 only the upper bound applies.
+    k <= d; at k = d+1 only the upper bound applies.  Past k = q + 1 the
+    center is 0 and the pair is tight.
     """
     if not 1 <= k <= d + 1:
         raise ValueError(f"k = {k} outside 1..d+1 = {d + 1}")
@@ -200,6 +203,7 @@ def rat_avg_k_bounds(q: int, d: int, k: int) -> BoundSet:
     return BoundSet(
         lower=lower,
         upper=upper,
+        lower_is_tight=k > q + 1,
         lower_applies=k <= d,
         vacuous_lower=lower <= 0,
         center=center,

@@ -7,10 +7,10 @@ library's arithmetic shortcuts (discrete-log tables, Zech logs, path
 marking) appear in them.
 
 The helpers at the end of the file, per_map_sums,
-enumerate_quadratic_graphs, field_pow, count_cycle_givers and the Moebius
-and conjugation block, are references of another kind: they use the
-library's types (CycleSums, FunctionalGraph), field arithmetic
-(FieldCtx), polynomial helpers and canonical forms
+enumerate_quadratic_graphs, field_pow, count_cycle_givers, filter_walk_S
+and the Moebius and conjugation block, are references of another kind:
+they use the library's types (CycleSums, FunctionalGraph), field
+arithmetic (FieldCtx), polynomial helpers and canonical forms
 (canonicalize_rational), and check statements built on them, about sums,
 graphs, powers or maps, rather than the arithmetic itself.  No command
 or benchmark runs them.
@@ -33,9 +33,11 @@ from fqdyn.fmaps import (
     RationalMap,
     canonicalize_rational,
     eval_poly,
+    monic_poly_at,
     normalize_poly,
     poly_at_most_at,
     poly_at_most_count,
+    poly_divmod,
     poly_mul,
     poly_scale,
 )
@@ -261,6 +263,22 @@ def count_cycle_givers(ctx: FieldCtx, d: int, cycle: Sequence[FqElem]) -> int:
     for i in range(poly_at_most_count(ctx, d)):
         f = poly_at_most_at(ctx, d, i)
         if all(eval_poly(ctx, f, cycle[j]) == cycle[(j + 1) % k] for j in range(k)):
+            count += 1
+    return count
+
+
+def filter_walk_S(ctx: FieldCtx, g0: Poly, g1: Poly, betas: Sequence[FqElem], gammas: Sequence[FqElem]) -> int:
+    """census.enumerate_S's count by its definition: every monic f of
+    degree deg(g0 g1), kept when g0 divides it and f(beta_i) =
+    gamma_i * (g0 g1)(beta_i) for every i.  enumerate_S walks only the
+    multiples g0 h; this walk visits all q^deg(g0 g1) candidates."""
+    prod = poly_mul(ctx, g0, g1)
+    j = len(prod) - 1
+    targets = [ctx.mul(g, eval_poly(ctx, prod, b)) for b, g in zip(betas, gammas)]
+    count = 0
+    for idx in range(ctx.q**j):
+        f = monic_poly_at(ctx, j, idx)
+        if poly_divmod(ctx, f, g0)[1] == () and all(eval_poly(ctx, f, b) == t for b, t in zip(betas, targets)):
             count += 1
     return count
 

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from fqdyn import census, cli
+from fqdyn import census, cli, fmaps
 from fqdyn.baseline import baseline_census
 from fqdyn.census import (
     POLY,
@@ -42,7 +42,7 @@ from fqdyn.theory import (
     rat_k_cycle_total_bounds,
 )
 
-from oracles import count_cycle_givers, oracle_cycle_lengths
+from oracles import count_cycle_givers, filter_walk_S, oracle_cycle_lengths
 
 F2 = make_field(2)
 F3 = make_field(3)
@@ -627,6 +627,26 @@ class TestInterpolationFamily:
                 assert count == ctx.q**e
             else:
                 assert count <= 1
+
+    def test_walks_only_the_multiples_of_g0(self, monkeypatch):
+        """The walk decodes the q^deg(g1) monic h and counts f = g0 h; it
+        used to decode all q^deg(g0 g1) monic f and drop those g0 does not divide."""
+        decoded = []
+
+        def spy(ctx, d, i):
+            decoded.append((d, i))
+            return fmaps.monic_poly_at(ctx, d, i)
+
+        monkeypatch.setattr(census, "monic_poly_at", spy)
+        assert enumerate_S(F3, (F3.neg(1), 1), (0, 1), (1,), (2,)) == 3
+        assert decoded == [(1, 0), (1, 1), (1, 2)]
+
+    @pytest.mark.parametrize("p,n", [(2, 1), (3, 1), (2, 2), (5, 1)])
+    def test_matches_the_filter_walk(self, p, n):
+        ctx = make_field(p, n)
+        for i in range(200):
+            g0, g1, betas, gammas = random_constraint_instance(ctx, per_index_rng(99, i))
+            assert enumerate_S(ctx, g0, g1, betas, gammas) == filter_walk_S(ctx, g0, g1, betas, gammas), i
 
     def test_instances_deterministic(self):
         a = random_constraint_instance(F5, per_index_rng(7, 0))

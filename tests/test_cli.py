@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -214,6 +215,14 @@ class TestVerifyCommands:
         assert calls == [("_per_index_block", [9], 1), ("_per_index_block", [9], 2)]
         assert texts[0] == texts[1]
 
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    @pytest.mark.parametrize("field", [("--p", "2"), ("--p", "2", "--n", "2")])
+    def test_lemma_polys_at_degrees_past_q(self, field, jobs, monkeypatch, capsys):
+        monkeypatch.setattr(census, "usable_cpus", lambda: 2)
+        assert cli.run(["verify", "lemma-polys", *field, "--dmax", "4", "--jobs", jobs]) == 0
+        checks = json.loads(capsys.readouterr().out)["report"]["checks"]
+        assert len(checks) == 1 + 2 + 3 + 4 + 5 and {c["status"] for c in checks} == {"pass"}
+
     def test_cycle_bounds(self):
         code, out, err = run_cli("verify", "cycle-bounds", "--p", "3", "--n", "1", "--dmax", "2")
         assert code == 0, err
@@ -221,6 +230,51 @@ class TestVerifyCommands:
         assert doc["report"]["all_pass"] is True
         vacuous = [c for c in doc["report"]["checks"] if c["vacuous_lower"]]
         assert vacuous, "q=3 has k with q <= k+1, so some lower bounds are vacuous"
+
+
+class TestNoCyclePastQPlus1:
+    """P^1(F_q) has q + 1 points, so no rational map has a longer cycle:
+    past k = q + 1 both bounds are 0, and a row checks the value as
+    exactly 0.  Strict bounds used to fail the true value 0 there."""
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    @pytest.mark.parametrize(
+        "argv, tight",
+        [
+            (["census", "--family", "rat", "--p", "2", "--d", "3", "--kmax", "5"], [4]),
+            (["census", "--family", "rat", "--p", "2", "--d", "3", "--kmax", "5", "--full-support"], [4]),
+            (["census", "--family", "rat", "--p", "2", "--d", "3", "--kmax", "5", "--samples", "100"], [4]),
+            (["census", "--family", "rat", "--p", "3", "--d", "4", "--kmax", "6"], [5]),
+        ],
+    )
+    def test_census(self, argv, tight, jobs, monkeypatch, capsys):
+        monkeypatch.setattr(census, "usable_cpus", lambda: 2)
+        assert cli.run([*argv, "--jobs", jobs]) == 0
+        rows = json.loads(capsys.readouterr().out)["report"]["theory_comparison"]
+        exact = [row for row in rows if row["name"] == "rat_avg_k_exact"]
+        assert [row["k"] for row in exact] == tight
+        assert all(row["expected"] == {"num": "0", "den": "1"} and row["status"] == "pass" for row in exact)
+        if "--samples" not in argv:
+            assert [row["relation"] for row in exact] == ["== (tight: k > q+1)"]
+        assert {row["status"] for row in rows} == {"pass"}
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    @pytest.mark.parametrize("p, dmax", [(2, 3), (3, 4)])
+    def test_cycle_bounds(self, p, dmax, jobs, monkeypatch, capsys):
+        monkeypatch.setattr(census, "usable_cpus", lambda: 2)
+        assert cli.run(["verify", "cycle-bounds", "--p", str(p), "--dmax", str(dmax), "--jobs", jobs]) == 0
+        checks = json.loads(capsys.readouterr().out)["report"]["checks"]
+        past = [c for c in checks if c["k"] > p + 1]
+        assert [(c["d"], c["k"]) for c in past] == [(dmax, p + 2)]
+        assert past[0]["observed_total"] == 0 and past[0]["note"] == "no k-cycle at k > q+1; checked as exactly 0"
+        assert {c["status"] for c in checks} == {"pass"}
+
+    def test_a_cycle_past_q_plus_1_fails(self):
+        assert cli._rat_total_verdict(2, 3, 4, 0)["status"] == "pass"
+        assert cli._rat_total_verdict(2, 3, 4, 1)["status"] == "fail"
+        rep = census.rat_census(make_field(2), 3, kmax=5)
+        [row] = [c for c in census._rat_comparisons(replace(rep, avg_k_cycles={4: Fraction(1, 10)})) if c.k == 4]
+        assert (row.name, row.status) == ("rat_avg_k_exact", "fail")
 
 
 # the at-most totals checks: argv, map family and the degrees they walk
@@ -367,6 +421,22 @@ class TestExactIntegersOfAnySize:
         code, out, err = run_cli(*argv)
         assert code == 0, err
         assert out.endswith("}\n")
+
+    @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-str digit limit before 3.11")
+    def test_theory_parses_at_the_default_digit_limit(self):
+        """theory writes its exact integers as strings, so a reader that
+        keeps Python's default limit parses them; as bare JSON integers of
+        4,822 digits they raised "Exceeds the limit (4300 digits)"."""
+        code, out, err = run_cli("theory", "--p", "65521", "--d", "500", "--kmax", "1")
+        assert code == 0, err
+        limit = sys.get_int_max_str_digits()  # an in-process cli.run lifts it
+        try:
+            sys.set_int_max_str_digits(sys.int_info.default_max_str_digits)
+            doc = json.loads(out)
+            sys.set_int_max_str_digits(0)
+            assert int(doc["report"]["rational"]["count_at_most"]) == 65521**1001 + 1
+        finally:
+            sys.set_int_max_str_digits(limit)
 
     def test_budget_refusal(self):
         # 65536^1000 (q - 1) polynomials times 65536 points: 4,827 digits
@@ -546,7 +616,7 @@ class TestTheoryCommand:
         assert code == 0, err
         doc = json.loads(out)
         rep = doc["report"]
-        assert rep["rational"]["count_exactly"] == 3000
+        assert rep["rational"]["count_exactly"] == "3000"
         assert rep["poly"]["avg_k"]["2"] == {"num": "2", "den": "5"}
         assert "component_bounds" in rep["poly"]
 

@@ -137,6 +137,13 @@ class TestRationalForms:
         assert b.lower_applies
         assert not rat_avg_k_bounds(5, 2, 3).lower_applies  # k = d+1
 
+    @pytest.mark.parametrize("bounds, q, d", [(rat_avg_k_bounds, 2, 3), (rat_k_cycle_total_bounds, 3, 4)])
+    def test_tight_at_zero_past_q_plus_1(self, bounds, q, d):
+        # P^1(F_q) has q + 1 points, so no map has a longer cycle
+        past = bounds(q, d, q + 2)
+        assert past.lower_is_tight and past.lower == past.upper == past.center == 0
+        assert not bounds(q, d, q + 1).lower_is_tight
+
     def test_component_bounds(self):
         b = rat_component_bounds(3, 1)
         assert b.lower == -3  # harmonic(1) - 4
