@@ -52,18 +52,19 @@ def _random_map(n: int, rng) -> FunctionalGraph:
     In CPython, randrange(n) keeps the top k = n.bit_length() bits of one
     32-bit Mersenne Twister word and draws again while they reach n, and
     getrandbits(32 * m) packs the next m words with the first word lowest.
-    So each batch takes as many words as values are missing, decodes them
-    from its little-endian bytes with the "<I" format, whose size and byte
-    order are fixed on every host, and keeps the words whose top k bits lie
-    below n.  Words drawn past the last value are never read: rng is this
-    map's own stream.  Needs n < 2**32.
+    So each batch draws as many words as values are missing, shifts and
+    masks the whole draw once to bring each word's top k bits to the
+    bottom of its 32-bit lane, decodes the lanes with the "<I" format
+    (fixed size and byte order on every host) and keeps those below n.
+    rng is this map's own stream, so words past the last value are never
+    read.  Needs n < 2**32.
     """
-    shift = 32 - n.bit_length()
-    limit = n << shift
+    k = n.bit_length()
     values: list[int] = []
     while missing := n - len(values):
-        words = struct.unpack(f"<{missing}I", rng.getrandbits(32 * missing).to_bytes(4 * missing, "little"))
-        values += [w >> shift for w in words if w < limit]
+        mask = int.from_bytes(((1 << k) - 1).to_bytes(4, "little") * missing, "little")
+        tops = (rng.getrandbits(32 * missing) >> (32 - k)) & mask
+        values += [v for v in struct.unpack(f"<{missing}I", tops.to_bytes(4 * missing, "little")) if v < n]
     return FunctionalGraph(tuple(values))
 
 
@@ -180,7 +181,7 @@ def baseline_census(
             what = f"exhaustive quadratic baseline of {graphs} graphs ({decoded} decoded)"
     else:
         raise ValueError(f"unknown baseline kind {kind!r}")
-    # before any closed form: the exact ones take seconds past a few thousand points
+    # before any closed form: the exact sums take 0.1 s at 4,000 points, seconds past 10,000
     _check_budget(count * size, budget, what, "lower the sample count" if sampled else "use sampling instead")
     notes: dict = {}
     if kind == "quadratic":

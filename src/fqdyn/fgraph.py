@@ -5,11 +5,11 @@ and its size is len(succ).  It has one outgoing edge per vertex, so
 every weakly connected component contains exactly one cycle: the
 component count is the cycle count, and the periodic points are the
 vertices on cycles.  The census below therefore needs only the cycles,
-which it finds in a single O(size) walk over the vertices.  It returns
-the map's cycle type, the sorted tuple of its cycle lengths: every
-statistic a census reports (components, periodic points, k-cycles) is a
-function of it, so a census counts maps per type and derives the sums
-once per type (census.cycle_sums).
+which lie in the image, so it walks from the image vertices alone, in
+O(size) steps.  It returns the map's cycle type, the sorted tuple of its
+cycle lengths: every statistic a census reports (components, periodic
+points, k-cycles) is a function of it, so a census counts maps per type
+and derives the sums once per type (census.cycle_sums).
 
 build_graph reads a sampled map's values at every point off whole value
 columns (fmaps.poly_values), a rational map's from one numerator and one
@@ -57,26 +57,25 @@ def build_graph(ctx: FieldCtx, m: Poly | RationalMap) -> FunctionalGraph:
 
 
 def cycle_census(g: FunctionalGraph) -> tuple[int, ...]:
-    """The cycle type of g, its cycle lengths in ascending order, in one
-    walk over the vertices.
+    """The cycle type of g, its cycle lengths in ascending order.
 
-    Each walk marks the vertices it visits with its start (s + 1).  A walk
-    that reaches its own mark has closed a new cycle, whose length is
-    counted by going once around it; a walk that reaches an older mark has
-    joined a component already counted.
+    Every cycle vertex is some vertex's image, so walks start only at the
+    values succ[v], each marking the vertices it visits with its start s.
+    A walk that reaches its own mark has closed a new cycle, whose length
+    is counted by going once around it; a walk that reaches an older mark
+    has joined a component already counted.
     """
     succ = g.succ
-    mark = [0] * len(succ)
+    mark: list[int | None] = [None] * len(succ)
     lengths: list[int] = []
-    for s in range(len(succ)):
-        if mark[s]:
+    for s in succ:
+        if mark[s] is not None:
             continue
-        tag = s + 1
         v = s
-        while not mark[v]:
-            mark[v] = tag
+        while mark[v] is None:
+            mark[v] = s
             v = succ[v]
-        if mark[v] == tag:
+        if mark[v] == s:
             length, u = 1, succ[v]
             while u != v:
                 length, u = length + 1, succ[u]

@@ -21,6 +21,7 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations, permutations, product
+from math import comb, factorial, perm
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from fqdyn.census import CycleSums
@@ -128,17 +129,14 @@ def oracle_components(succ: list[int]) -> int:
 
 
 def oracle_periodic_points(succ: list[int]) -> set[int]:
-    """A point is periodic iff iterating from it returns to it."""
-    out = set()
-    size = len(succ)
-    for v in range(size):
-        w = succ[v]
-        for _ in range(size):
-            if w == v:
-                out.add(v)
-                break
-            w = succ[w]
-    return out
+    """The periodic points are the image of f^N for any N >= size: N steps
+    from any point have left its tail, and every cycle point lies N steps
+    past another.  f^N by squaring, N the least power of two >= size, so a
+    2^14-vertex cycle costs 14 passes, not 2^28 steps."""
+    power, n = list(succ), 1
+    while n < len(succ):
+        power, n = [power[w] for w in power], 2 * n
+    return set(power)
 
 
 def oracle_cycle_lengths(succ: list[int]) -> dict[int, int]:
@@ -183,6 +181,17 @@ def falling(n: int, k: int) -> int:
     for i in range(k):
         out *= n - i
     return out
+
+
+def random_map_totals(n: int) -> tuple[int, int]:
+    """Components and periodic points summed over all n^n self-maps of an
+    n-set.  A map with a given k-cycle closes that cycle on its k-set in
+    one of (k-1)! orders and sends the other n - k points anywhere, so the
+    maps hold (k-1)! C(n,k) n^(n-k) k-cycles in all, and k times as many
+    periodic points on them, k! C(n,k) = perm(n,k)."""
+    components = sum(factorial(k - 1) * comb(n, k) * n ** (n - k) for k in range(1, n + 1))
+    periodic = sum(perm(n, k) * n ** (n - k) for k in range(1, n + 1))
+    return components, periodic
 
 
 def harmonic_like_sum(n: int, weight_extra_n: bool) -> Fraction:

@@ -196,7 +196,7 @@ class TestSamplers:
         for v in range(10):
             assert abs(counts[v] - 1000) < 5 * 30
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 7, 1000, 1024, 1025, 4096, 65537])
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 255, 256, 257, 1000, 1024, 1025, 4096, 65535, 65537])
     def test_bulk_draw_equals_randrange(self, n):
         """The bulk draw gives randrange's values in randrange's order.
 
@@ -204,7 +204,9 @@ class TestSamplers:
         words.  If an interpreter upgrade changes how random draws them,
         this test fails, where the sampled reports would otherwise drift.
         1025, 65537 and 1 reject about half their words, so they also check
-        the batches that redraw the missing values.
+        the batches that redraw the missing values.  The lane width
+        k = n.bit_length() steps up from 255 to 256, and 255 and 65535
+        equal their lane mask 2^k - 1, the one value they reject.
         """
         assert struct.calcsize("<I") == 4  # the word size the decode assumes
         for seed in range(10):

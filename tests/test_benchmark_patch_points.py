@@ -6,7 +6,9 @@ tuple (looked up on fqdyn.census), the entry points keyed in ENTRIES
 (on fqdyn.cli), and each (module, "name", wrapper) target it lists.  It
 finds them with getattr, so a clean-up that drops such an import, say an
 fmaps function census.py no longer calls, would break only the
-benchmark; this test fails first.
+benchmark; this test fails first.  The last test guards the contract
+behind traced.py's check that the scans match the report: one patched
+cycle_census call per map.
 """
 
 from __future__ import annotations
@@ -14,7 +16,10 @@ from __future__ import annotations
 import ast
 from pathlib import Path
 
+import pytest
+
 from fqdyn import baseline, census, cli
+from fqdyn.ffield import make_field
 
 TRACED = Path(__file__).resolve().parent.parent / "perfbench" / "traced.py"
 MODULES = {"census": census, "cli": cli, "baseline": baseline}
@@ -46,3 +51,23 @@ def test_the_parse_finds_the_census_patch_points():
 
 def test_every_patched_name_exists():
     assert [f"{module}.{name}" for module, name in sorted(patch_points()) if not hasattr(MODULES[module], name)] == []
+
+
+@pytest.mark.parametrize("census_fn,family", [(census.poly_census, census.POLY), (census.rat_census, census.RATIONAL)])
+def test_one_scan_per_map(monkeypatch, census_fn, family):
+    """traced.py checks that the patched census.cycle_census runs once per
+    map the report counts, on graphs of Family.vertices points each.  A
+    census that batched or skipped scans would break that check; this
+    test fails first."""
+    sizes = []
+
+    def counting(g):
+        sizes.append(g.size)
+        return scan(g)
+
+    scan = census.cycle_census
+    monkeypatch.setattr(census, "cycle_census", counting)
+    ctx = make_field(2, 2)
+    rep = census_fn(ctx, 2, jobs=1)
+    assert len(sizes) == rep.map_count
+    assert sum(sizes) == rep.map_count * family.vertices(ctx)

@@ -6,10 +6,11 @@ from __future__ import annotations
 import random
 from collections import Counter
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fqdyn.census import cycle_sums
+from fqdyn.census import POLY, cycle_sums
 from fqdyn.ffield import make_field
 from fqdyn.fgraph import FunctionalGraph, brent_rho, build_graph, cycle_census
 from fqdyn.fmaps import CONSTANT_INFINITY, canonicalize_rational, enumerate_polys, enumerate_rationals
@@ -120,6 +121,57 @@ def test_permutation_graphs_fully_periodic():
         rng.shuffle(perm)
         t = cycle_census(FunctionalGraph(tuple(perm)))
         assert sum(t) == size
+
+
+def _relabelled(succ: list[int], rng: random.Random) -> list[int]:
+    """succ with its vertices renamed by a random permutation, so that no
+    shape depends on where the scan's starts fall in vertex order."""
+    name = list(range(len(succ)))
+    rng.shuffle(name)
+    out = [0] * len(succ)
+    for v, w in enumerate(succ):
+        out[name[v]] = name[w]
+    return out
+
+
+def _tail_into_cycle(size: int, rng: random.Random) -> list[int]:
+    # 0 -> 1 -> ... -> size - 4, then a 3-cycle: a tail of size - 3 points
+    return _relabelled([*range(1, size - 2), size - 1, size - 3, size - 2], rng)
+
+
+def _gf2_14_quadratic(size: int, rng: random.Random) -> list[int]:
+    # as bigfield-sampled draws its maps: a uniform quadratic over GF(2^14)
+    ctx = make_field(2, 14)
+    assert size == ctx.q
+    return list(build_graph(ctx, POLY.sample(ctx, 2, rng)).succ)
+
+
+SHAPES = {
+    "random": lambda size, rng: [rng.randrange(size) for _ in range(size)],
+    "permutation": lambda size, rng: rng.sample(range(size), size),
+    "constant": lambda size, rng: [rng.randrange(size)] * size,
+    "one-cycle": lambda size, rng: _relabelled([*range(1, size), 0], rng),
+    "tail-into-3-cycle": _tail_into_cycle,
+}
+
+
+@pytest.mark.parametrize(
+    "shape,size",
+    [(shape, size) for shape in SHAPES for size in (300, 1000, 2**14)] + [("gf2^14-quadratic", 2**14)],
+)
+def test_census_matches_oracles_past_256_vertices(shape, size):
+    """The scan starts only at image vertices, which a permutation makes
+    every vertex and a constant map one.  Past 256 vertices the starts it
+    marks with are no longer the interpreter's cached small ints."""
+    rng = random.Random(f"{shape}:{size}")
+    make = _gf2_14_quadratic if shape == "gf2^14-quadratic" else SHAPES[shape]
+    for _ in range(2):
+        succ = make(size, rng)
+        t = cycle_census(FunctionalGraph(tuple(succ)))
+        lengths = oracle_cycle_lengths(succ)
+        assert t == oracle_cycle_type(lengths)
+        assert len(t) == oracle_components(succ)
+        assert sum(t) == len(oracle_periodic_points(succ))
 
 
 @settings(max_examples=80, deadline=None)

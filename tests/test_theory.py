@@ -27,7 +27,7 @@ from fqdyn.theory import (
     rat_periodic_minorant,
 )
 
-from oracles import harmonic_like_sum
+from oracles import harmonic_like_sum, random_map_totals
 
 
 class TestBasics:
@@ -174,6 +174,13 @@ class TestBaselineForms:
             st = random_map_stats(n)
             assert st.components_exact == harmonic_like_sum(n, weight_extra_n=False), n
             assert st.periodic_exact == harmonic_like_sum(n, weight_extra_n=True), n
+
+    def test_random_map_stats_match_the_counting_identities_at_1000(self):
+        n = 1000
+        st = random_map_stats(n)
+        components, periodic = random_map_totals(n)
+        assert st.components_exact == Fraction(components, n**n)
+        assert st.periodic_exact == Fraction(periodic, n**n)
 
     def test_random_map_asymptotics(self):
         # exact sums get expensive fast (denominators near n^n), so probe
