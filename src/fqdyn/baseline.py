@@ -18,12 +18,12 @@ from __future__ import annotations
 import math
 import struct
 from collections import Counter
-from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Callable
+from types import MappingProxyType
+from typing import Callable, Mapping, NamedTuple
 
-from .census import Report, _check_budget, _count_text, _per_index_block, _report_fields, compare, cycle_sums
-from .census import run_blocks
+from .census import TheoryComparison, _check_budget, _count_text, _failed, _per_index_block, _report_fields
+from .census import _report_jsonable, compare, cycle_sums, run_blocks
 from .ffield import digits
 from .fgraph import FunctionalGraph, cycle_census
 from .seeding import per_index_rng
@@ -105,16 +105,30 @@ def _quadratic_graph(m: int, t: int, rng) -> FunctionalGraph:
     return FunctionalGraph(tuple(image[lab] for lab in labels))
 
 
-@dataclass(frozen=True, kw_only=True)
-class BaselineReport(Report):
+class BaselineReport(NamedTuple):
+    """A baseline run: the fields every report holds (as in
+    census.CensusReport) and the family's own.  Required fields come
+    first."""
+
+    mode: str  # "exhaustive" | "sampled"
+    avg_components: Fraction
+    avg_periodic: Fraction
     kind: str  # "random" | "quadratic"
     size: int
     graph_count: int
+    theory_comparison: tuple[TheoryComparison, ...] = ()
+    sample_count: int | None = None
+    seed: int | None = None
+    stderr_components: float | None = None
+    stderr_periodic: float | None = None
+    notes: Mapping = MappingProxyType({})
     m: int | None = None
     t: int | None = None
 
+    failed = property(_failed)
+
     def to_jsonable(self) -> dict:
-        out = super().to_jsonable() | {
+        out = _report_jsonable(self) | {
             "family": f"baseline:{self.kind}",
             "size": self.size,
             "graph_count": self.graph_count,
@@ -222,4 +236,4 @@ def baseline_census(
         compare(name, avg[stat], "==", expected=want, drawn=rep.sample_count, stderr=se.get(stat), stat=stat)
         for name, stat, want in checks
     )
-    return replace(rep, theory_comparison=rows)
+    return rep._replace(theory_comparison=rows)

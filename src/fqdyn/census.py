@@ -47,15 +47,13 @@ from __future__ import annotations
 import math
 import operator
 import os
-import pickle
-import signal
 from collections import Counter
-from dataclasses import dataclass, field, replace
 from decimal import Decimal
 from fractions import Fraction
 from functools import reduce
 from itertools import islice
-from typing import Callable, Iterator, Sequence
+from types import MappingProxyType
+from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
 
 from .ffield import FieldCtx, FqElem, undigits
 from .fgraph import FunctionalGraph, brent_rho, build_graph, cycle_census
@@ -113,8 +111,7 @@ def _check_budget(evaluations: int, budget: int | None, what: str, advice: str) 
 # --- tallies and the block runner ---------------------------------------------
 
 
-@dataclass(frozen=True)
-class CycleSums:
+class CycleSums(NamedTuple):
     """Integer sums of cycle statistics over a set of maps, as reports read
     them; k_cycles and k_cycles_sq hold the lengths k <= kmax that occur,
     in ascending order."""
@@ -175,6 +172,8 @@ def _fork_share(fn: Callable, blocks: list[tuple]) -> tuple[int, int]:
     ("ok", results) or ("err", exception) to a pipe; (pid, read end).
     The child leaves through os._exit, so nothing of the parent's stack,
     atexit handlers or stdio buffers runs in it."""
+    import pickle  # only a forked run pickles; the child inherits it loaded
+
     r, w = os.pipe()
     pid = os.fork()
     if pid == 0:
@@ -196,6 +195,8 @@ def _fork_share(fn: Callable, blocks: list[tuple]) -> tuple[int, int]:
 def _join_share(pid: int, fd: int) -> list:
     """Read a forked child's pipe to its end and reap the child; its
     results, or its exception raised again here."""
+    import pickle
+
     try:
         with os.fdopen(fd, "rb") as pipe:
             data = pipe.read()
@@ -241,10 +242,13 @@ def run_blocks(fn: Callable, tasks: Sequence[tuple[tuple, int]], jobs: int) -> l
         for w in range(1, workers):
             results[w::workers] = _join_share(*children.pop(0))
     finally:
-        for pid, fd in children:
-            os.kill(pid, signal.SIGKILL)
-            os.close(fd)
-            os.waitpid(pid, 0)
+        if children:  # the parent failed: kill and reap every child still running
+            import signal
+
+            for pid, fd in children:
+                os.kill(pid, signal.SIGKILL)
+                os.close(fd)
+                os.waitpid(pid, 0)
     return per_task(iter(results))
 
 
@@ -424,8 +428,7 @@ def _sample_rational(ctx: FieldCtx, d: int, rng) -> RationalMap:
 # --- reports ------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TheoryComparison:
+class TheoryComparison(NamedTuple):
     """One measured statistic against one closed-form value or bound.
 
     k is the cycle length of a per-length check; stat names the report
@@ -533,45 +536,33 @@ def compare(
     )
 
 
-@dataclass(frozen=True, kw_only=True)
-class Report:
-    """What every census and baseline report holds: the paper's two
+def _failed(rep) -> list[TheoryComparison]:
+    """The failed theory rows of a census or baseline report."""
+    return [c for c in rep.theory_comparison if c.status == "fail"]
+
+
+def _report_jsonable(rep) -> dict:
+    """What every census and baseline report writes: the paper's two
     averages, their theory rows and notes, and, for a sampled run, the
     sample echo (size, seed and the averages' standard errors)."""
-
-    mode: str  # "exhaustive" | "sampled"
-    avg_components: Fraction
-    avg_periodic: Fraction
-    theory_comparison: tuple[TheoryComparison, ...] = ()
-    sample_count: int | None = None
-    seed: int | None = None
-    stderr_components: float | None = None
-    stderr_periodic: float | None = None
-    notes: dict = field(default_factory=dict)
-
-    @property
-    def failed(self) -> list[TheoryComparison]:
-        return [c for c in self.theory_comparison if c.status == "fail"]
-
-    def to_jsonable(self) -> dict:
-        out: dict = {
-            "mode": self.mode,
-            "avg_components": frac_json(self.avg_components),
-            "avg_periodic": frac_json(self.avg_periodic),
-            "theory_comparison": [c.to_jsonable() for c in self.theory_comparison],
-        }
-        if self.mode == "sampled":
-            out["sample_count"] = self.sample_count
-            out["seed"] = self.seed
-            out["stderr_components"] = self.stderr_components
-            out["stderr_periodic"] = self.stderr_periodic
-        if self.notes:
-            out["notes"] = self.notes
-        return out
+    out: dict = {
+        "mode": rep.mode,
+        "avg_components": frac_json(rep.avg_components),
+        "avg_periodic": frac_json(rep.avg_periodic),
+        "theory_comparison": [c.to_jsonable() for c in rep.theory_comparison],
+    }
+    if rep.mode == "sampled":
+        out["sample_count"] = rep.sample_count
+        out["seed"] = rep.seed
+        out["stderr_components"] = rep.stderr_components
+        out["stderr_periodic"] = rep.stderr_periodic
+    if rep.notes:
+        out["notes"] = rep.notes
+    return out
 
 
 def _report_fields(s: CycleSums, mode: str, seed: int | None) -> dict:
-    """The Report fields that a tally's sums give: both averages and, in
+    """The report fields that a tally's sums give: both averages and, in
     sampled mode, the sample echo."""
     n = s.map_count
     out: dict = {"mode": mode, "avg_components": Fraction(s.components, n), "avg_periodic": Fraction(s.periodic, n)}
@@ -583,19 +574,34 @@ def _report_fields(s: CycleSums, mode: str, seed: int | None) -> dict:
     return out
 
 
-@dataclass(frozen=True, kw_only=True)
-class CensusReport(Report):
+class CensusReport(NamedTuple):
+    """A census: the fields every report holds (mode, the two averages,
+    the theory rows, the sample echo and notes; see _report_jsonable)
+    and the family's own.  Required fields come first.  A report built
+    without notes has an empty, read-only notes mapping."""
+
+    mode: str  # "exhaustive" | "sampled"
+    avg_components: Fraction
+    avg_periodic: Fraction
     family: str  # "poly" | "rational"
     q: int
     d: int
     map_count: int
     kmax: int
     avg_k_cycles: dict[int, Fraction]
+    theory_comparison: tuple[TheoryComparison, ...] = ()
+    sample_count: int | None = None
+    seed: int | None = None
+    stderr_components: float | None = None
+    stderr_periodic: float | None = None
+    notes: Mapping = MappingProxyType({})
     full_support: bool = False
     stderr_k_cycles: dict[int, float] | None = None
 
+    failed = property(_failed)
+
     def to_jsonable(self) -> dict:
-        out = super().to_jsonable() | {
+        out = _report_jsonable(self) | {
             "family": self.family,
             "q": self.q,
             "d": self.d,
@@ -689,8 +695,7 @@ def _rat_comparisons(rep: CensusReport) -> tuple[TheoryComparison, ...]:
 # --- map families ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Family:
+class Family(NamedTuple):
     """One family of maps over F_q, and everything a census needs from it.
 
     Every callable takes one exact degree d.  successors(ctx, d, lo, hi)
@@ -823,7 +828,7 @@ def _build_report(
         notes=notes,
         **_report_fields(s, mode, seed),
     )
-    return replace(rep, theory_comparison=family.comparisons(rep))
+    return rep._replace(theory_comparison=family.comparisons(rep))
 
 
 # --- public census operations ---------------------------------------------------
@@ -987,8 +992,7 @@ def solution_count_case(ctx: FieldCtx, g0: Poly, g1: Poly, betas: Sequence[FqEle
 # --- rho experiment --------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RhoSummary:
+class RhoSummary(NamedTuple):
     family: str
     q: int
     d: int

@@ -422,6 +422,10 @@ def run(argv: list[str] | None = None) -> int:
         config, rep, has_fail = args.handler(args, jobs)
         if hasattr(args, "budget"):  # every command whose parser has --budget echoes it
             config["budget"] = resolve_budget(args.budget)
+        if getattr(args, "format", "json") == "csv":
+            text = render_csv(rep)
+        else:  # a record without to_jsonable is a bug, not a JSON list
+            text = render_json(config, rep if isinstance(rep, dict) else rep.to_jsonable())
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -429,11 +433,6 @@ def run(argv: list[str] | None = None) -> int:
         print(f"internal error: {exc}", file=sys.stderr)
         return 3
 
-    if getattr(args, "format", "json") == "csv":
-        text = render_csv(rep)
-    else:
-        body = rep.to_jsonable() if hasattr(rep, "to_jsonable") else rep
-        text = render_json(config, body)
     if args.output:
         try:
             _write_report(Path(args.output), text)

@@ -23,11 +23,16 @@ of the table build run fmaps' polynomial arithmetic over GF(p), in
 characteristic 2 as for odd p.  Prime fields above the cap fall back
 to direct modular arithmetic; extension fields above the cap are
 refused before any modulus is searched for.
+
+FieldCtx is an immutable __slots__ class on Frozen, this module's base
+for the records whose attributes hot loops read (fgraph.FunctionalGraph
+is the other): a slot read is cheaper than a NamedTuple field's, and the
+package's colder records are NamedTuples.  Neither kind needs
+dataclasses, whose import and class processing cost every CLI call.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 from typing import Callable, Sequence
 
@@ -53,8 +58,49 @@ def field_order(p: int, n: int = 1) -> int:
     return p**n
 
 
-@dataclass(frozen=True)
-class FieldCtx:
+class Frozen:
+    """Base of the package's __slots__ records: immutable, compared,
+    hashed, shown and pickled by their field values, the slots in order.
+
+    Setting or deleting an attribute raises AttributeError, so a
+    subclass's __init__ stores each field through object.__setattr__ or
+    through the slot's own __set__, and names its parameters after the
+    slots, which _replace passes by keyword.
+    """
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def _replace(self, **changes):
+        """A copy with the named fields changed, as a NamedTuple's _replace."""
+        unknown = changes.keys() - set(self.__slots__)
+        if unknown:
+            raise ValueError(f"got unexpected field names: {sorted(unknown)!r}")
+        return type(self)(**dict(zip(self.__slots__, self._values())) | changes)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot set {name!r}: {type(self).__name__} is immutable")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete {name!r}: {type(self).__name__} is immutable")
+
+    def __eq__(self, other) -> bool:
+        return type(other) is type(self) and self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={value!r}" for name, value in zip(self.__slots__, self._values()))
+        return f"{type(self).__name__}({shown})"
+
+    def __reduce__(self) -> tuple:
+        return type(self), self._values()
+
+
+class FieldCtx(Frozen):
     """Immutable description of GF(p^n) plus its operation tables.
 
     Safe to share across worker processes: all fields are plain data and
@@ -62,13 +108,20 @@ class FieldCtx:
     extension fields add through the Zech table.
     """
 
-    p: int
-    n: int
-    q: int
-    modulus: tuple[int, ...]  # monic, degree n, least-significant first
-    exp_table: tuple[int, ...] | None  # g^i for i in [0, 2(q-1)); None above cap
-    log_table: tuple[int, ...] | None  # discrete log base g; entry 0 is -1
-    zech_table: tuple[int, ...] | None  # log(1 + g^k); odd-p extension fields only
+    __slots__ = ("p", "n", "q", "modulus", "exp_table", "log_table", "zech_table")
+
+    def __init__(
+        self,
+        p: int,
+        n: int,
+        q: int,
+        modulus: tuple[int, ...],  # monic, degree n, least-significant first
+        exp_table: tuple[int, ...] | None,  # g^i for i in [0, 2(q-1)); None above cap
+        log_table: tuple[int, ...] | None,  # discrete log base g; entry 0 is -1
+        zech_table: tuple[int, ...] | None,  # log(1 + g^k); odd-p extension fields only
+    ) -> None:
+        for name, value in zip(self.__slots__, (p, n, q, modulus, exp_table, log_table, zech_table)):
+            object.__setattr__(self, name, value)
 
     def add(self, a: FqElem, b: FqElem) -> FqElem:
         if self.p == 2:

@@ -15,29 +15,39 @@ build_graph reads a sampled map's values at every point off whole value
 columns (fmaps.poly_values), a rational map's from one numerator and one
 denominator column.  Exhaustive censuses build their successor tables
 from running sums of the same columns (census._column_runs) and wrap
-them in FunctionalGraph directly.
+them in FunctionalGraph directly, one immutable slots record
+(ffield.Frozen) per map, which every cycle_census call takes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, TypeVar
 
-from .ffield import FieldCtx
+from .ffield import FieldCtx, Frozen
 from .fmaps import Poly, RationalMap, eval_rational, poly_values
 
 T = TypeVar("T")
 
 
-@dataclass(frozen=True)
-class FunctionalGraph:
-    """Vertex v goes to succ[v]; the vertices are range(len(succ))."""
+class FunctionalGraph(Frozen):
+    """Vertex v goes to succ[v]; the vertices are range(len(succ)).
 
-    succ: tuple[int, ...]
+    An exhaustive census wraps every successor table it builds, so the
+    constructor stores succ through the slot's own setter, the cheapest
+    store that leaves the field immutable.
+    """
+
+    __slots__ = ("succ",)
+
+    def __init__(self, succ: tuple[int, ...]) -> None:
+        _store_succ(self, succ)
 
     @property
     def size(self) -> int:
         return len(self.succ)
+
+
+_store_succ = FunctionalGraph.succ.__set__
 
 
 def build_graph(ctx: FieldCtx, m: Poly | RationalMap) -> FunctionalGraph:

@@ -17,10 +17,9 @@ has degree 0.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from functools import partial, reduce
 from itertools import chain, islice, repeat
-from typing import Iterable, Iterator, Literal, Sequence
+from typing import Iterable, Iterator, Literal, NamedTuple, Sequence
 
 from .ffield import FieldCtx, FqElem, digits
 
@@ -137,8 +136,7 @@ def poly_gcd(ctx: FieldCtx, f: Poly, g: Poly) -> Poly:
     return poly_scale(ctx, ctx.inv(f[-1]), f)
 
 
-@dataclass(frozen=True)
-class RationalMap:
+class RationalMap(NamedTuple):
     """Canonical num/den pair; den == () marks the constant-infinity map."""
 
     num: Poly

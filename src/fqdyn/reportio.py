@@ -17,7 +17,6 @@ count) come last.
 
 from __future__ import annotations
 
-import csv
 import io
 import json
 from fractions import Fraction
@@ -99,6 +98,8 @@ def render_csv(report) -> str:
     for c in comparisons:  # checks on neither an average nor a cycle length
         if c.k is None and c.stat is None:
             rows.append(_row(family, q, d, c.name, c.observed, _theory_value(c), c.status))
+
+    import csv  # only --format csv loads it
 
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")

@@ -17,8 +17,9 @@ Conventions used throughout:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
+from types import MappingProxyType
+from typing import Mapping, NamedTuple
 
 from .reportio import frac_json
 
@@ -35,8 +36,7 @@ def harmonic(n: int) -> Fraction:
     return sum((Fraction(1, k) for k in range(1, n + 1)), Fraction(0))
 
 
-@dataclass(frozen=True)
-class BoundSet:
+class BoundSet(NamedTuple):
     """A lower/upper bound pair for one graph statistic.
 
     lower_is_tight records the exact-equality condition of the statement
@@ -45,7 +45,9 @@ class BoundSet:
     only asserts the upper bound for these arguments; vacuous_lower marks
     a lower bound that carries no information (nonpositive, or its
     coefficient has the wrong sign).  notes holds auxiliary diagnostics
-    such as float minorants and sharper intermediate forms.
+    such as float minorants and sharper intermediate forms; a bound built
+    without notes has an empty, read-only notes mapping, so no bound can
+    add notes that another would see.
     """
 
     lower: Fraction
@@ -54,7 +56,7 @@ class BoundSet:
     lower_applies: bool = True
     vacuous_lower: bool = False
     center: Fraction | None = None
-    notes: dict = field(default_factory=dict)
+    notes: Mapping = MappingProxyType({})
 
     def to_jsonable(self) -> dict:
         out: dict = {
@@ -254,8 +256,7 @@ def rat_periodic_minorant(q: int, d: int) -> float:
 # --- baselines ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RandomMapStats:
+class RandomMapStats(NamedTuple):
     """Exact averages over all n^n self-maps of an n-set, with the
     classical large-n asymptotics as float diagnostics."""
 
@@ -307,8 +308,7 @@ def random_map_stats(n: int) -> RandomMapStats:
     )
 
 
-@dataclass(frozen=True)
-class QuadGraphStats:
+class QuadGraphStats(NamedTuple):
     """Counting data for functional graphs on mt vertices whose in-degrees
     are all 0 or m."""
 

@@ -4,7 +4,6 @@ closed forms, and determinism requirements."""
 import os
 import time
 from collections import Counter
-from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache
 
@@ -233,7 +232,7 @@ class TestCycleTotals:
 
         walked = [len(shifted(F3, e, 0, POLY.index_count(F3, e))) for e in range(3)]
         assert sum(walked) == sum(POLY.map_count(F3, e) for e in range(3))  # so a summed check passes
-        monkeypatch.setitem(census.FAMILIES, "poly", replace(POLY, successors=shifted))
+        monkeypatch.setitem(census.FAMILIES, "poly", POLY._replace(successors=shifted))
         with pytest.raises(AssertionError, match="enumerated 5 maps of degree 1, closed form says 6; this is a bug"):
             cycle_totals_at_most(F3, 2, "poly")
         assert cli.run(["verify", "lemma-polys", "--p", "3", "--dmax", "2", "--jobs", "1"]) == 3

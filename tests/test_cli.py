@@ -6,7 +6,6 @@ import json
 import os
 import subprocess
 import sys
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -14,6 +13,7 @@ import pytest
 from fqdyn import baseline, census, cli, fmaps
 from fqdyn.census import RhoSummary
 from fqdyn.ffield import make_field
+from fqdyn.theory import random_map_stats
 
 
 def run_cli(*argv, env_extra=None):
@@ -273,7 +273,7 @@ class TestNoCyclePastQPlus1:
         assert cli._rat_total_verdict(2, 3, 4, 0)["status"] == "pass"
         assert cli._rat_total_verdict(2, 3, 4, 1)["status"] == "fail"
         rep = census.rat_census(make_field(2), 3, kmax=5)
-        [row] = [c for c in census._rat_comparisons(replace(rep, avg_k_cycles={4: Fraction(1, 10)})) if c.k == 4]
+        [row] = [c for c in census._rat_comparisons(rep._replace(avg_k_cycles={4: Fraction(1, 10)})) if c.k == 4]
         assert (row.name, row.status) == ("rat_avg_k_exact", "fail")
 
 
@@ -475,6 +475,18 @@ def test_import_starts_no_pool_machinery():
     """The CLI forks its workers itself; importing it loads neither
     concurrent.futures nor multiprocessing, which cost start-up time."""
     code = "import sys, fqdyn.cli; print([m for m in sys.modules if m.startswith(('concurrent', 'multiprocessing'))])"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
+def test_import_loads_no_dataclasses_or_fork_only_modules():
+    """Every CLI call pays for what importing the CLI loads: the records
+    are NamedTuples and slots classes, not dataclasses (which pull in
+    inspect), and pickle, signal and csv load only on the paths that use
+    them (a forked run, killing its workers, --format csv)."""
+    modules = "{'dataclasses', 'inspect', 'pickle', 'signal', 'csv'}"
+    code = f"import sys, fqdyn.cli; print(sorted({modules} & set(sys.modules)))"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
@@ -764,6 +776,15 @@ class TestUsageErrors:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "internal error: enumerated 3 maps, closed form says 4; this is a bug\n"
+
+    def test_record_without_to_jsonable_exits_3(self, monkeypatch, capsys):
+        # a handler's report is a dict or a record with to_jsonable; any
+        # other record is a bug, not a JSON list of its fields
+        monkeypatch.setattr(cli, "_cmd_theory", lambda args, jobs: ({"command": "theory"}, random_map_stats(3), False))
+        assert cli.run(["theory", "--p", "2", "--d", "1"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("internal error: ") and "to_jsonable" in captured.err
 
     def test_help_exits_zero(self):
         code, out, err = run_cli("--help")
